@@ -6,6 +6,12 @@ Points are streams of digits, with the digit at level t drawn from
 form (prefix-free, no complete sibling family, lexicographically sorted), so
 set equality is tuple equality.
 
+The set operations keep that form in one pass over the operands' sorted word
+tuples, in the manner of decision diagrams: union merges the two tuples and
+collapses complete sibling families on a stack, intersection keeps the
+longer word of each comparable pair, and difference carves the subtracted
+words out of each word above them.  Each result is canonical as built.
+
 The metric is fixed once and for all as d(x, y) = 2^-(first differing level)
 independent of the level sizes; every metric quantity in the library is
 therefore a dyadic rational.
@@ -107,29 +113,108 @@ def lcp_len(u, w):
 def canonical_words(sig, words):
     """Canonical form of a union of cylinders.
 
-    Drops words shadowed by a prefix, then merges complete sibling families
-    until none remain.
+    Sorts the words once in lexicographic order, where a prefix sorts before
+    its extensions, and collapses them in one pass (see _collapse).
     """
-    ws = sorted(set(map(tuple, words)), key=lambda w: (len(w), w))
-    kept = []
+    return _collapse(sig, sorted(set(map(tuple, words))))
+
+
+def _collapse(sig, ws):
+    """Canonical word tuple of the union of the sorted words ws.
+
+    A word is dropped when the last kept word is its prefix: in sorted order
+    every word between a word and its extension extends it too.  A kept word
+    goes on a stack, and a complete sibling family at the top of the stack
+    collapses into its parent, repeating while parents complete families.
+    """
+    out = []
     for w in ws:
-        if not any(is_prefix(u, w) for u in kept):
-            kept.append(w)
-    ws = set(kept)
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(ws, key=len, reverse=True):
-            if not w or w not in ws:
+        if out:
+            last = out[-1]
+            if w[: len(last)] == last:
                 continue
+        while w:
+            lam = sig.level(len(w) - 1)
+            k = len(out) - lam + 1
+            if w[-1] != lam - 1 or k < 0:
+                break
             parent = w[:-1]
-            lam = sig.level(len(parent))
-            family = [parent + (d,) for d in range(lam)]
-            if all(f in ws for f in family):
-                ws.difference_update(family)
-                ws.add(parent)
-                changed = True
-    return tuple(sorted(ws))
+            if out[k:] != [parent + (d,) for d in range(lam - 1)]:
+                break
+            del out[k:]
+            w = parent
+        out.append(w)
+    return tuple(out)
+
+
+def _intersection(A, B):
+    """Canonical words of the intersection of two canonical word tuples.
+
+    Of two comparable words the longer one is the intersection of their
+    cylinders.  A complete sibling family of results would put its parent
+    cylinder inside both operands, whose canonical words would then hold
+    the parent or a prefix of it, so the result is canonical as it stands.
+    """
+    out = []
+    i = j = 0
+    while i < len(A) and j < len(B):
+        a, b = A[i], B[j]
+        if b[: len(a)] == a:
+            out.append(b)
+            j += 1
+        elif a[: len(b)] == b:
+            out.append(a)
+            i += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _difference(sig, A, B):
+    """Canonical words of A minus B for canonical word tuples A and B.
+
+    Each word of A is kept whole, dropped under a prefix in B, or carved
+    around the words of B below it (see _carve).
+    """
+    out = []
+    j, nb = 0, len(B)
+    for a in A:
+        while j < nb and B[j] < a and a[: len(B[j])] != B[j]:
+            j += 1
+        if j < nb and a[: len(B[j])] == B[j]:
+            continue
+        k = j
+        while k < nb and B[k][: len(a)] == a:
+            k += 1
+        if k == j:
+            out.append(a)
+        else:
+            _carve(sig, a, B[j:k], out)
+            j = k
+    return tuple(out)
+
+
+def _carve(sig, a, below, out):
+    """Append the words of the cylinder of a minus the cylinders of below.
+
+    below is a nonempty, sorted, prefix-free tuple of proper extensions of a
+    with no complete sibling family.  Along the paths to its words every
+    sibling off a path is kept whole, so no complete family arises.
+    """
+    t = len(a)
+    i = 0
+    for d in range(sig.level(t)):
+        c = a + (d,)
+        k = i
+        while k < len(below) and below[k][t] == d:
+            k += 1
+        if k == i:
+            out.append(c)
+        elif below[i] != c:
+            _carve(sig, c, below[i:k], out)
+        i = k
 
 
 @dataclass(frozen=True)
@@ -169,28 +254,21 @@ class Clopen:
         if self.sig != other.sig:
             raise ValueError("signature mismatch")
 
-    def restrict(self, d):
-        """The part under child d of the root, as a Clopen over shift(1)."""
-        sub = []
-        for w in self.words:
-            if not w:
-                return Clopen.full(self.sig.shift())
-            if w[0] == d:
-                sub.append(w[1:])
-        return Clopen(self.sig.shift(), tuple(sorted(sub)))
-
-    def _binary(self, other, f):
-        self._check(other)
-        return _binop(self.sig, self, other, f)
-
     def __or__(self, other):
-        return self._binary(other, "union")
+        self._check(other)
+        if not other.words:
+            return self
+        if not self.words:
+            return other
+        return Clopen(self.sig, _collapse(self.sig, sorted(self.words + other.words)))
 
     def __and__(self, other):
-        return self._binary(other, "inter")
+        self._check(other)
+        return Clopen(self.sig, _intersection(self.words, other.words))
 
     def __sub__(self, other):
-        return self._binary(other, "diff")
+        self._check(other)
+        return Clopen(self.sig, _difference(self.sig, self.words, other.words))
 
     def complement(self):
         return Clopen.full(self.sig) - self
@@ -203,10 +281,6 @@ class Clopen:
 
     def __contains__(self, point):
         return point.in_clopen(self)
-
-    def contains_word(self, w):
-        """Whether the cylinder of w lies inside this set."""
-        return any(is_prefix(u, w) for u in self.words)
 
     def meets_word(self, w):
         return any(is_prefix(u, w) or is_prefix(w, u) for u in self.words)
@@ -238,19 +312,6 @@ class Clopen:
                     best = v
         return best
 
-    def at_depth(self, t):
-        """All depth-t words whose cylinders lie inside the set.
-
-        Requires every word to have length <= t.
-        """
-        out = []
-        for w in self.words:
-            if len(w) > t:
-                raise ValueError("set has structure below requested depth")
-            tails = self.sig.shift(len(w)).words(t - len(w))
-            out.extend(w + tail for tail in tails)
-        return sorted(out)
-
     def split(self, m):
         """Deterministic split into m nonempty disjoint parts with union self.
 
@@ -280,35 +341,6 @@ class Clopen:
 
     def __repr__(self):
         return f"Clopen{self.pretty()}"
-
-
-def _binop(sig, A, B, op):
-    a_full, a_empty = A.is_full, A.is_empty
-    b_full, b_empty = B.is_full, B.is_empty
-    if op == "union":
-        if a_full or b_full:
-            return Clopen.full(sig)
-        if a_empty:
-            return B
-        if b_empty:
-            return A
-    elif op == "inter":
-        if a_empty or b_empty:
-            return Clopen.empty(sig)
-        if a_full:
-            return B
-        if b_full:
-            return A
-    elif op == "diff":
-        if a_empty or b_full:
-            return Clopen.empty(sig)
-        if b_empty:
-            return A
-    words = []
-    for d in range(sig.level(0)):
-        child = _binop(sig.shift(), A.restrict(d), B.restrict(d), op)
-        words.extend((d,) + w for w in child.words)
-    return Clopen.make(sig, words)
 
 
 def partition_at_depth(sig, t):

@@ -602,26 +602,33 @@ def _separated_base(T, n, depth):
 def _first_return_towers(T, B, cap):
     """Towers over B decomposed by first return time, exact."""
     Tm = as_prefix_map(T)
+    Tinv = Tm.inverse()
     towers = []
     remaining = B
+    back = B  # T^-h(B)
     h = 0
     while not remaining.is_empty:
         h += 1
         if h > cap:
             return None
-        back = Tm.power(-h).image(B)
+        back = Tinv.image(back)
         ret = remaining & back
         if not ret.is_empty:
-            levels = [Tm.power(j).image(ret) for j in range(h)]
+            levels = [ret]
+            for _ in range(h - 1):
+                levels.append(Tm.image(levels[-1]))
             towers.append((ret, h, levels))
             remaining = remaining - ret
     return towers
 
 
 def _covered_bounds(Tm, B, n, measures):
-    covered = Clopen.empty(Tm.sig)
-    for j in range(n):
-        covered = covered | Tm.power(-j).image(B)
+    """Measures of the union of T^-j(B), 0 <= j < n."""
+    Tinv = Tm.inverse()
+    covered = back = B
+    for _ in range(n - 1):
+        back = Tinv.image(back)
+        covered = covered | back
     return [measure_of(mu, covered) for mu in measures]
 
 

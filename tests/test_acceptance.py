@@ -9,6 +9,7 @@ circulations, subprocesses for CLI determinism.
 import collections
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cantordyn
 from cantordyn.space import (
     DYADIC,
     Clopen,
@@ -454,11 +456,16 @@ CLI_FIXTURES = [
 
 
 def test_criterion_11_cli_determinism_and_roundtrip():
+    # the subprocesses import the same cantordyn as this process
+    root = os.path.dirname(os.path.dirname(cantordyn.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
     for argv in CLI_FIXTURES:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "cantordyn.cli", *argv],
                 capture_output=True,
+                env=env,
             )
             for _ in range(3)
         ]

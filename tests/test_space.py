@@ -23,7 +23,7 @@ def test_signature_levels_and_counts():
     s = Signature((3,), (2, 4))
     assert [s.level(t) for t in range(6)] == [3, 2, 4, 2, 4, 2]
     assert s.num_words(3) == 3 * 2 * 4
-    assert s.shift(1) == Signature((2, 4), (2, 4)).shift(0) or True
+    assert s.shift(1) == Signature((), (2, 4))
     # shift drops consumed levels and stays eventually periodic
     assert s.shift(1).level(0) == 2 and s.shift(3).level(0) == 2
 
@@ -47,48 +47,64 @@ def test_index_word_roundtrip(sig):
     assert sig.word_of_index(1, t)[0] == 1
 
 
-words_st = st.lists(
-    st.lists(st.integers(0, 1), min_size=0, max_size=4).map(tuple),
-    min_size=0,
-    max_size=6,
-)
+def words_of(sig):
+    """Lists of words up to depth 5, some replaced by their complete child
+    family (up to depth 6), so that sibling merges cascade."""
+    word = st.integers(0, 5).flatmap(
+        lambda d: st.tuples(*(st.integers(0, sig.level(t) - 1) for t in range(d)))
+    )
+    family = word.map(lambda w: [w + (d,) for d in range(sig.level(len(w)))])
+    return st.lists(st.one_of(word.map(lambda w: [w]), family), max_size=8).map(
+        lambda groups: [w for g in groups for w in g]
+    )
+
+
+def sig_and_words(n):
+    return st.sampled_from(SIGS).flatmap(
+        lambda sig: st.tuples(st.just(sig), *(words_of(sig) for _ in range(n)))
+    )
+
+
+def assert_canonical(A):
+    """Sorted, prefix-free and without a complete sibling family."""
+    ws = A.words
+    assert list(ws) == sorted(ws)
+    for i, a in enumerate(ws):
+        for b in ws[i + 1 :]:
+            assert a != b[: len(a)] and b != a[: len(b)]
+    parents = {}
+    for w in ws:
+        if w:
+            parents[w[:-1]] = parents.get(w[:-1], 0) + 1
+    for p, cnt in parents.items():
+        assert cnt < A.sig.level(len(p))
+
+
+D = 6  # mask depth, at least the depth of every drawn word
 
 
 @settings(max_examples=200, deadline=None)
-@given(words_st)
-def test_canonical_words_properties(words):
-    sig = DYADIC
-    ws = [w for w in words if sig.valid_word(w)]
+@given(sig_and_words(1))
+def test_canonical_words_properties(drawn):
+    sig, ws = drawn
     canon = canonical_words(sig, ws)
     A = Clopen(sig, canon)
     assert canonical_words(sig, canon) == canon
-    assert list(canon) == sorted(canon)
-    for i, a in enumerate(canon):
-        for b in canon[i + 1 :]:
-            assert a != b[: len(a)] and b != a[: len(b)]
-    # no complete sibling family survives
-    parents = {}
-    for w in canon:
-        if w:
-            parents.setdefault(w[:-1], 0)
-            parents[w[:-1]] += 1
-    for p, cnt in parents.items():
-        assert cnt < sig.level(len(p))
-    assert mask(A, 5) == mask(Clopen.make(sig, ws), 5)
+    assert_canonical(A)
+    assert mask(A, D) == frozenset(u for w in ws for u in mask(Clopen(sig, (w,)), D))
 
 
 @settings(max_examples=200, deadline=None)
-@given(words_st, words_st)
-def test_boolean_algebra_against_mask_oracle(wa, wb):
-    sig = DYADIC
-    A = Clopen.make(sig, [w for w in wa if sig.valid_word(w)])
-    B = Clopen.make(sig, [w for w in wb if sig.valid_word(w)])
-    D = 5
+@given(sig_and_words(2))
+def test_boolean_algebra_against_mask_oracle(drawn):
+    sig, wa, wb = drawn
+    A = Clopen.make(sig, wa)
+    B = Clopen.make(sig, wb)
     ma, mb = mask(A, D), mask(B, D)
-    assert mask(A | B, D) == ma | mb
-    assert mask(A & B, D) == ma & mb
-    assert mask(A - B, D) == ma - mb
-    assert mask(A ^ B, D) == ma ^ mb
+    cases = ((A | B, ma | mb), (A & B, ma & mb), (A - B, ma - mb), (A ^ B, ma ^ mb))
+    for C, expected in cases:
+        assert mask(C, D) == expected
+        assert_canonical(C)
     full = mask(Clopen.full(sig), D)
     assert mask(A.complement(), D) == full - ma
     assert (A <= B) == (ma <= mb)
