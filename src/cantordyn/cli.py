@@ -100,14 +100,6 @@ def resolve_neighborhood(text):
     return doc.value
 
 
-def resolve_clopen(text, sig):
-    p = df._Parser(text)
-    A = p.wordset(sig)
-    if not p.eof():
-        raise df.DocumentError("trailing input after clopen set")
-    return A
-
-
 def _load_document(text):
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as f:

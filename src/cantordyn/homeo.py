@@ -2,7 +2,8 @@
 
 The workhorse representation is PrefixMap: a finite list of branches
 (u, v, c) acting by  u . y  |->  v . (y + c),  where y + c is adding-machine
-addition on the digit tail.  Pure prefix-exchange (tree-pair) maps are the
+addition on the digit tail; Signature.add_to_word carries it through the
+digits of a refined word.  Pure prefix-exchange (tree-pair) maps are the
 c = 0 case and the adding machine itself is the single branch (e, e, k).
 The class is closed under composition and inversion, so group words in
 tree-pair maps and odometers always resolve to an exact PrefixMap.
@@ -146,12 +147,8 @@ class PrefixMap:
     def _refine_branch(self, br, w):
         """Restrict branch (u, v, c) to the deeper domain word w >= u."""
         u, v, c = br
-        r = w[len(u) :]
-        sub = self.sig.shift(len(u))
-        n = sub.num_words(len(r))
-        idx = sub.index(r) + c
-        r2 = sub.word_of_index(idx, len(r))
-        return (w, v + r2, idx // n if n else c)
+        r2, k = self.sig.add_to_word(len(u), w[len(u) :], c)
+        return (w, v + r2, k)
 
     def refined_to(self, words):
         """Branches restricted to a finer domain cylinder partition."""
@@ -176,26 +173,20 @@ class PrefixMap:
 
     # -- action ------------------------------------------------------------
 
-    def image_word(self, w):
-        """Exact image of the cylinder of w as a single (word) cylinder,
-        when some branch domain word is a prefix of w; else None."""
-        for u, v, c in self.branches:
+    def _cylinder_image(self, w):
+        """Words whose cylinders cover the image of the cylinder of w exactly
+        (not canonicalized)."""
+        below = []
+        for u, v, c in self._branch_for(w):
             if is_prefix(u, w):
-                return self._refine_branch((u, v, c), w)[1]
-        return None
+                return [self._refine_branch((u, v, c), w)[1]]
+            below.append(v)
+        return below
 
     def image(self, A):
         words = []
         for w in A.words:
-            hit = False
-            for u, v, c in self._branch_for(w):
-                if is_prefix(u, w):
-                    words.append(self._refine_branch((u, v, c), w)[1])
-                    hit = True
-                    break
-            if not hit:
-                for u, v, c in self._branch_for(w):
-                    words.append(v)
+            words += self._cylinder_image(w)
         return Clopen.make(A.sig, words)
 
     def preimage(self, A):
@@ -224,24 +215,15 @@ class PrefixMap:
             for u2, v2, c2 in self.branches:
                 if is_prefix(u2, v1):
                     # whole branch lands inside [u2]
-                    r = v1[len(u2) :]
-                    sub = self.sig.shift(len(u2))
-                    n = sub.num_words(len(r))
-                    idx = sub.index(r) + c2
-                    r2 = sub.word_of_index(idx, len(r))
-                    k = idx // n if n else c2
+                    r2, k = self.sig.add_to_word(len(u2), v1[len(u2) :], c2)
                     out.append((u1, v2 + r2, c1 + k))
                     break
             else:
                 for u2, v2, c2 in self.branches:
                     if is_prefix(v1, u2) and len(u2) > len(v1):
-                        r = u2[len(v1) :]
-                        sub = self.sig.shift(len(v1))
-                        n = sub.num_words(len(r))
-                        idx0 = (sub.index(r) - c1) % n
-                        rt = sub.word_of_index(idx0, len(r))
-                        b = (idx0 + c1) // n
-                        out.append((u1 + rt, v2, b + c2))
+                        # pull [u2] back through the carry c1
+                        rt, b = self.sig.add_to_word(len(v1), u2[len(v1) :], -c1)
+                        out.append((u1 + rt, v2, c2 - b))
         return PrefixMap(self.sig, tuple(sorted(out))).canonical()
 
     def __mul__(self, other):
@@ -250,11 +232,17 @@ class PrefixMap:
     def power(self, n):
         if n == 0:
             return PrefixMap.identity(self.sig)
+        # square and multiply: fewer than 2 * bit_length(|n|) compositions
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = base.after(out)
-        return out
+        n = abs(n)
+        out = None
+        while True:
+            if n & 1:
+                out = base if out is None else base.after(out)
+            n >>= 1
+            if not n:
+                return out
+            base = base.after(base)
 
     def __eq__(self, other):
         if not isinstance(other, PrefixMap):
@@ -332,7 +320,6 @@ def _solve_agreement_point(sig, w, b1, b2):
     digits = []
     seen = {}
     cur_sub, cur_r, cur_e = sub, r, e
-    pos = 0
     while True:
         key = (cur_sub, cur_r, cur_e)
         if key in seen:
@@ -340,11 +327,8 @@ def _solve_agreement_point(sig, w, b1, b2):
             z = Point.make(sub, tuple(digits[:start]), tuple(digits[start:]))
             break
         seen[key] = len(digits)
-        n = cur_sub.num_words(len(cur_r))
-        idx = cur_sub.index(cur_r) + cur_e
-        nxt = cur_sub.word_of_index(idx, len(cur_r))
+        nxt, cur_e = cur_sub.add_to_word(0, cur_r, cur_e)
         digits.extend(cur_r)
-        cur_e = idx // n
         cur_sub = cur_sub.shift(len(cur_r))
         cur_r = nxt
     y = point_add(z, -c1)

@@ -150,8 +150,3 @@ def open_diff_mass(mu, E):
         if x.in_clopen(E.core):
             total -= point_mass(mu, x)
     return total
-
-
-def pushforward_measure_of(mu, S, A):
-    """mu(S A), the pushforward of mu under S evaluated at A."""
-    return measure_of(mu, S.image(A))

@@ -89,6 +89,21 @@ class Signature:
             n //= lam
         return tuple(digits)
 
+    def add_to_word(self, depth, r, c):
+        """Adding-machine sum of c and the digit word r sitting at level depth.
+
+        Returns (r2, k) with r . y + c = r2 . (y + k) for every tail y: each
+        digit absorbs the carry, least significant first, and once the carry
+        is 0 the remaining digits stay as they are.
+        """
+        out = []
+        for i, d in enumerate(r):
+            if not c:
+                return tuple(out) + r[i:], 0
+            c, d = divmod(d + c, self.level(depth + i))
+            out.append(d)
+        return tuple(out), c
+
     def state_period(self):
         """Number of depths after the preperiod before shift() repeats."""
         return len(self.period)
@@ -281,9 +296,6 @@ class Clopen:
 
     def __contains__(self, point):
         return point.in_clopen(self)
-
-    def meets_word(self, w):
-        return any(is_prefix(u, w) or is_prefix(w, u) for u in self.words)
 
     def diameter(self):
         if self.is_empty:

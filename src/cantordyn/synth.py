@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .space import Clopen, is_prefix, is_partition, lcp_len, partition_at_depth
 from .measure import measure_of, open_diff_mass
@@ -72,21 +72,11 @@ def compose_fragments(sig, second, first):
     for u1, v1, c1 in first:
         for u2, v2, c2 in second:
             if is_prefix(u2, v1):
-                r = v1[len(u2) :]
-                sub = sig.shift(len(u2))
-                n = sub.num_words(len(r))
-                idx = sub.index(r) + c2
-                r2 = sub.word_of_index(idx, len(r))
-                k = idx // n if n else c2
+                r2, k = sig.add_to_word(len(u2), v1[len(u2) :], c2)
                 out.append((u1, v2 + r2, c1 + k))
             elif is_prefix(v1, u2):
-                r = u2[len(v1) :]
-                sub = sig.shift(len(v1))
-                n = sub.num_words(len(r))
-                idx0 = (sub.index(r) - c1) % n
-                rt = sub.word_of_index(idx0, len(r))
-                bcar = (idx0 + c1) // n
-                out.append((u1 + rt, v2, bcar + c2))
+                rt, b = sig.add_to_word(len(v1), u2[len(v1) :], -c1)
+                out.append((u1 + rt, v2, c2 - b))
     return sorted(set(out))
 
 
@@ -116,12 +106,6 @@ class OverlapGraph:
     arcs: list  # sorted (i, j) with nonempty cell
     multiplicities: dict = None  # (i, j) -> m_ij >= 1, balanced
     balance_feasible: bool = True
-
-    def adjacency(self):
-        return [
-            [1 if (i, j) in self.cells else 0 for j in range(self.n)]
-            for i in range(self.n)
-        ]
 
     def to_dot(self):
         lines = ["digraph overlap {"]
@@ -475,13 +459,27 @@ def _min_displacement(P):
     return best
 
 
+def _powers(M, k):
+    """[M, M^2, ..., M^k], one composition per step."""
+    out = [M] if k > 0 else []
+    while len(out) < k:
+        out.append(M.after(out[-1]))
+    return out
+
+
+def _iterates(M, A, k):
+    """A, M A, ..., M^(k-1) A, one image per step."""
+    for i in range(k):
+        if i:
+            A = M.image(A)
+        yield A
+
+
 def orbit_of(P, F, p):
     Pm = as_prefix_map(P)
     out = Clopen.empty(F.sig)
-    cur = F
-    for _ in range(p):
+    for cur in _iterates(Pm, F, p):
         out = out | cur
-        cur = Pm.image(cur)
     return out
 
 
@@ -496,10 +494,7 @@ def fundamental_domain(P, p):
     for q, part in info["exact_period_parts"].items():
         if not part.is_empty or info["isolated_periodic_points"][q]:
             raise ValueError(f"points of period {q} < {p} present")
-    c = None
-    for i in range(1, p):
-        ci = _min_displacement(Pm.power(i))
-        c = ci if c is None else min(c, ci)
+    c = min(map(_min_displacement, _powers(Pm, p - 1)))
     depth = 0
     while Fraction(1, 2**depth) > c / 2:
         depth += 1
@@ -507,8 +502,7 @@ def fundamental_domain(P, p):
     E = atoms[0]
     for A in atoms[1:]:
         E = E | (A - orbit_of(Pm, E, p))
-    images = [Pm.power(i).image(E) for i in range(p)]
-    if not is_partition(images):
+    if not is_partition(list(_iterates(Pm, E, p))):
         raise RuntimeError("greedy fundamental domain failed the partition check")
     return E
 
@@ -538,7 +532,7 @@ def aperiodize_periodic(P, epsilon, p=None, max_order=64):
         for w in cells:
             cyl = Clopen(Pm.sig, (w,))
             if any(
-                Pm.power(i).image(cyl).diameter() >= epsilon / 2 for i in range(p)
+                img.diameter() >= epsilon / 2 for img in _iterates(Pm, cyl, p)
             ):
                 bad = w
                 break
@@ -585,7 +579,7 @@ def _separated_base(T, n, depth):
     with gaps in [n, 2n-1]."""
     Tm = as_prefix_map(T)
     sig = Tm.sig
-    powers = [Tm.power(j) for j in range(-(n - 1), n) if j != 0]
+    powers = _powers(Tm, n - 1) + _powers(Tm.inverse(), n - 1)
     B = Clopen.empty(sig)
     # union of T^j(B), 0 < |j| < n; a homeomorphism maps a union to the
     # union of the images, so only the images of each new piece are added
@@ -641,11 +635,11 @@ def _separated_cover_exists(Tm, sep, depth):
     sig = Tm.sig
     powers = [Tm]  # powers[j - 1] is T^j
     for w in sig.words(depth):
-        U = Clopen(sig, (w,))
         for j in range(1, sep):
             if j > len(powers):
                 powers.append(Tm.after(powers[-1]))
-            if powers[j - 1].image(U).meets_word(w):
+            image = powers[j - 1]._cylinder_image(w)
+            if any(is_prefix(v, w) or is_prefix(w, v) for v in image):
                 return False
     return True
 
@@ -658,8 +652,7 @@ def _shifted_top_castle(Tm, towers0, n, measures):
     for _, _, levels in towers0:
         V = V | levels[-1]
     best = None
-    for K in range(n):
-        B = Tm.power(-K).image(V)
+    for K, B in enumerate(_iterates(Tm.inverse(), V, n)):
         bounds = _covered_bounds(Tm, B, n, measures)
         if best is None or (min(bounds), K) > (min(best[1]), best[2]):
             best = (B, bounds, K)
@@ -894,10 +887,6 @@ def _shifted_truncation(sig, k, t):
         sig,
         [(sig.word_of_index(i, t), sig.word_of_index(i + k, t)) for i in range(n)],
     )
-
-
-def _order_gcd(sig, k, t):
-    return gcd(k, sig.num_words(t))
 
 
 def _find_atom_in(measures, core):

@@ -1,6 +1,9 @@
+import os
 import random
 
 import pytest
+
+import cantordyn
 
 from cantordyn.space import DYADIC, Clopen, Signature
 from cantordyn.homeo import Odometer, PrefixMap, as_prefix_map
@@ -61,3 +64,25 @@ def random_partition(rng, sig, max_atoms=16):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def subprocess_env():
+    """Environment for child processes that import the same cantordyn as this
+    process."""
+    root = os.path.dirname(os.path.dirname(cantordyn.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """Records one entry per PrefixMap.after call made during the test."""
+    calls = []
+    after = PrefixMap.after
+
+    def counted(self, other):
+        calls.append(None)
+        return after(self, other)
+
+    monkeypatch.setattr(PrefixMap, "after", counted)
+    return calls

@@ -9,7 +9,6 @@ circulations, subprocesses for CLI determinism.
 import collections
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import cantordyn
 from cantordyn.space import (
     DYADIC,
     Clopen,
@@ -52,7 +50,7 @@ from cantordyn.synth import (
 from cantordyn.cli import random_document
 from cantordyn.docformat import parse, print_document
 
-from conftest import mask, random_homeo, random_partition
+from conftest import mask, random_homeo, random_partition, subprocess_env
 
 SWAP = PrefixMap.tree_pair(DYADIC, [((0,), (1,)), ((1,), (0,))])
 DISS = PrefixMap.tree_pair(
@@ -456,10 +454,7 @@ CLI_FIXTURES = [
 
 
 def test_criterion_11_cli_determinism_and_roundtrip():
-    # the subprocesses import the same cantordyn as this process
-    root = os.path.dirname(os.path.dirname(cantordyn.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+    env = subprocess_env()
     for argv in CLI_FIXTURES:
         runs = [
             subprocess.run(

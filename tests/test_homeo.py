@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordyn.space import DYADIC, Clopen, Point, Signature, is_partition
 from cantordyn.homeo import (
@@ -212,3 +213,55 @@ def test_tower_system_refinement():
         for i, A in enumerate(level[:-1]):
             assert T.image(A) == level[i + 1]
     assert t.tail_bound() == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_power_square_and_multiply(sig, compositions):
+    """power(k) equals the k-fold product and composes fewer than
+    2 * bit_length(|k|) times."""
+    rng = random.Random(29)
+    for _ in range(3):
+        S = random_homeo(rng, sig)
+        products = {1: S, -1: S.inverse()}
+        for k in range(2, 65):
+            products[k] = S.after(products[k - 1])
+            products[-k] = products[-1].after(products[-(k - 1)])
+        for k, expected in products.items():
+            compositions.clear()
+            assert S.power(k) == expected
+            assert len(compositions) <= 2 * abs(k).bit_length()
+
+
+# -- algebra laws over random maps -------------------------------------------
+
+maps = st.tuples(st.sampled_from(SIGS), st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps, st.integers(-6, 6), st.integers(-6, 6))
+def test_power_is_additive(drawn, m, n):
+    sig, rng = drawn
+    S = random_homeo(rng, sig)
+    assert S.power(m + n) == S.power(m).after(S.power(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps)
+def test_inverse_is_two_sided(drawn):
+    sig, rng = drawn
+    S = random_homeo(rng, sig)
+    assert S.after(S.inverse()).is_identity()
+    assert S.inverse().after(S).is_identity()
+    assert S.inverse().inverse() == S
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps)
+def test_image_of_union_against_mask_oracle(drawn):
+    sig, rng = drawn
+    S = random_homeo(rng, sig)
+    A = random_clopen(rng, sig)
+    B = random_clopen(rng, sig)
+    union = S.image(A | B)
+    assert union == S.image(A) | S.image(B)
+    assert mask(union, 8) == mask(S.image(A), 8) | mask(S.image(B), 8)

@@ -47,6 +47,34 @@ def test_index_word_roundtrip(sig):
     assert sig.word_of_index(1, t)[0] == 1
 
 
+def digit_word(sig, depth):
+    """Words of length 0 to 5 whose digit i sits at level depth + i."""
+    return st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            *(st.integers(0, sig.level(depth + i) - 1) for i in range(n))
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.sampled_from(SIGS), st.integers(0, 5)).flatmap(
+        lambda sd: st.tuples(st.just(sd[0]), st.just(sd[1]), digit_word(*sd))
+    ),
+    st.integers(-100, 100),
+)
+def test_add_to_word_against_index(drawn, c):
+    """r . y + c = r2 . (y + k): the mixed-radix value of the word absorbs c
+    up to a multiple of the number of words, which is the carry k."""
+    sig, depth, r = drawn
+    r2, k = sig.add_to_word(depth, r, c)
+    sub = sig.shift(depth)
+    n = sub.num_words(len(r))
+    assert len(r2) == len(r) and sub.valid_word(r2)
+    assert sub.index(r2) + k * n == sub.index(r) + c
+    assert r2 == sub.word_of_index(sub.index(r) + c, len(r))
+
+
 def words_of(sig):
     """Lists of words up to depth 5, some replaced by their complete child
     family (up to depth 6), so that sibling merges cascade."""

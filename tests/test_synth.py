@@ -16,8 +16,11 @@ from cantordyn.homeo import (
     weak_distance,
 )
 from cantordyn.synth import (
+    _covered_bounds,
+    _first_return_towers,
     _separated_base,
     _separated_cover_exists,
+    _shifted_top_castle,
     aperiodize_periodic,
     canonical_clopen_homeo,
     euler_circuit,
@@ -33,7 +36,7 @@ from cantordyn.synth import (
     truncation,
 )
 
-from conftest import mask, random_homeo, random_partition
+from conftest import SIGS, mask, random_homeo, random_partition
 
 SIG = DYADIC
 SWAP = PrefixMap.tree_pair(SIG, [((0,), (1,)), ((1,), (0,))])
@@ -244,6 +247,43 @@ def test_separated_base_separates_and_covers(k, n):
         for j in range(-(n - 1), n):
             img = {_dyadic_word(v, depth) for v in shifted(j)}
             assert mask(Tm.power(j).image(B), depth) == img
+
+
+@pytest.mark.parametrize("sig", SIGS)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_separated_base_steps_its_powers(sig, n, compositions):
+    """T^1 ... T^(n-1) and T^-1 ... T^-(n-1) cost one composition each."""
+    Tm = as_prefix_map(Odometer(sig, 1))
+    _separated_base(Tm, n, 4)
+    assert len(compositions) <= 2 * (n - 1)
+
+
+@pytest.mark.parametrize("sig", SIGS)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
+    """The castle over T^-K of the tops, found without any power call, is the
+    one chosen from the powers directly, the larger K winning ties."""
+    Tm = as_prefix_map(Odometer(sig, k))
+    measures = [ProductMeasure.uniform(sig)]
+    depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, n, d))
+    towers0 = _first_return_towers(Tm, _separated_base(Tm, n, depth), cap=2 * n)
+    V = Clopen.empty(sig)
+    for _, _, levels in towers0:
+        V = V | levels[-1]
+    candidates = []
+    for K in range(n):
+        B = Tm.power(-K).image(V)
+        candidates.append((min(_covered_bounds(Tm, B, n, measures)), K, B))
+    _, _, expected = max(candidates, key=lambda c: c[:2])
+
+    def no_power(self, n):
+        raise AssertionError("power called")
+
+    monkeypatch.setattr(PrefixMap, "power", no_power)
+    B, bounds = _shifted_top_castle(Tm, towers0, n, measures)
+    assert B == expected
+    assert bounds == _covered_bounds(Tm, B, n, measures)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
