@@ -20,7 +20,6 @@ from .measure import (
     point_mass,
 )
 from .homeo import (
-    Composite,
     Odometer,
     OpenDiffSet,
     PrefixMap,

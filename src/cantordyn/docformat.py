@@ -23,6 +23,10 @@ from .topology import (
 
 VERSION = 1
 
+# numbers and words are ASCII; str.isdigit would also pass digits that int()
+# rejects (superscripts) or reads silently (other scripts)
+DIGITS = "0123456789"
+
 KINDS = (
     "signature",
     "clopen",
@@ -279,23 +283,32 @@ class _Parser:
             self.error("expected a name")
         return self.text[start : self.pos]
 
-    def int_(self):
+    def _int_text(self):
         self.ws()
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start or not self.text[start : self.pos].lstrip("+-"):
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        return self.text[start : self.pos]
+
+    def int_(self):
+        return int(self._int_text())
 
     def frac(self):
-        p = self.int_()
+        text = num = self._int_text()
+        den = "1"
         if self.try_lit("/"):
-            q = self.int_()
-            return Fraction(p, q)
-        return Fraction(p)
+            den = self._int_text()
+            text += "/" + den
+        if int(den) == 0:
+            self.error(f"zero-denominator: rational {text}")
+        x = Fraction(int(num), int(den))
+        if str(x) != text:
+            self.error(f"not canonical: rational-form {text} (printed {x})")
+        return x
 
     def sig(self):
         self.ws()
@@ -327,14 +340,17 @@ class _Parser:
             return ()
         start = self.pos
         while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "."
+            self.text[self.pos] in DIGITS or self.text[self.pos] == "."
         ):
             self.pos += 1
         raw = self.text[start : self.pos]
         if not raw:
             self.error("expected a word")
         if "." in raw:
-            w = tuple(int(x) for x in raw.split("."))
+            digits = raw.split(".")
+            if "" in digits:
+                self.error(f"empty-digit: word {raw}")
+            w = tuple(int(x) for x in digits)
         else:
             w = tuple(int(ch) for ch in raw)
         if validate and not sig.valid_word(w):
@@ -478,7 +494,7 @@ class _Parser:
         if shifted and all(c == 0 for _, _, c in branches):
             self.error("not canonical: shift-pair-degenerate (use tree-pair)")
         try:
-            pm = PrefixMap.make(sig, branches, validate=True)
+            pm = PrefixMap.make(sig, branches)
         except ValueError as e:
             self.error(str(e))
         if pm.branches != tuple(branches):
@@ -610,7 +626,7 @@ def parse(text):
     body_line = 1
     if lines[0].split() and lines[0].split()[0] == "cdyn":
         fields = lines[0].split()
-        if len(fields) != 2 or not fields[1].isdigit():
+        if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
             raise DocumentError("malformed version header", line=1)
         version = int(fields[1])
         if version != VERSION:

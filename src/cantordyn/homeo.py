@@ -7,6 +7,13 @@ digits of a refined word.  Pure prefix-exchange (tree-pair) maps are the
 c = 0 case and the adding machine itself is the single branch (e, e, k).
 The class is closed under composition and inversion, so group words in
 tree-pair maps and odometers always resolve to an exact PrefixMap.
+
+compose_branches and invert_branches are the one branch algebra: they
+compose and invert full maps and partial fragments alike, and
+PrefixMap.after and inverse are built on them.  Every PrefixMap that make,
+after, inverse, power, identity or Odometer.as_map returns is canonical as
+built (no complete sibling family of branches is left unmerged), so
+equality and hashing are those of the (sig, branches) tuple, as for Clopen.
 """
 
 from __future__ import annotations
@@ -72,11 +79,11 @@ class PrefixMap:
     branches: tuple  # of (u, v, c)
 
     @staticmethod
-    def make(sig, branches, validate=True):
+    def make(sig, branches):
+        """Validated canonical map; the constructor for outside branch lists."""
         brs = tuple(sorted((tuple(u), tuple(v), int(c)) for u, v, c in branches))
         m = PrefixMap(sig, brs)
-        if validate:
-            m._validate()
+        m._validate()
         return m.canonical()
 
     @staticmethod
@@ -112,29 +119,40 @@ class PrefixMap:
         return all(c == 0 for _, _, c in self.branches)
 
     def canonical(self):
-        brs = set(self.branches)
-        changed = True
-        while changed:
-            changed = False
-            for u, v, c in sorted(brs, key=lambda b: (-len(b[0]), b[0])):
-                if (u, v, c) not in brs or not u or not v:
-                    continue
-                if u[-1] != 0:
-                    continue
-                pu, pv = u[:-1], v[:-1]
-                if self.sig.shift(len(pu)) != self.sig.shift(len(pv)):
-                    continue
-                lam = self.sig.level(len(pv))
-                pc = c * lam + v[-1]
-                family = [
-                    (pu + (d,), pv + (((d + pc) % lam),), (d + pc) // lam)
-                    for d in range(lam)
-                ]
-                if all(f in brs for f in family):
-                    brs.difference_update(family)
-                    brs.add((pu, pv, pc))
-                    changed = True
-        return PrefixMap(self.sig, tuple(sorted(brs)))
+        """The same map with every complete sibling family merged.
+
+        One stack pass over the branches in domain order, as in
+        space._collapse: the last sibling pu+(lam-1,) of a family closes it
+        when the top of the stack holds the refinements of one parent branch,
+        and the merged parent may close the family above it.
+        """
+        sig = self.sig
+        out = []
+        for br in sorted(self.branches):
+            while True:
+                u = br[0]
+                if not u:
+                    break
+                lam = sig.level(len(u) - 1)
+                k = len(out) - lam + 1
+                if u[-1] != lam - 1 or k < 0:
+                    break
+                family = out[k:] + [br]
+                pu = u[:-1]
+                u0, v0, c0 = family[0]
+                if u0 != pu + (0,) or not v0:
+                    break
+                pv = v0[:-1]
+                if sig.shift(len(pu)) != sig.shift(len(pv)):
+                    break
+                parent = (pu, pv, c0 * lam + v0[-1])
+                refined = [refine_branch(sig, parent, pu + (d,)) for d in range(lam)]
+                if family != refined:
+                    break
+                del out[k:]
+                br = parent
+            out.append(br)
+        return PrefixMap(sig, tuple(out))
 
     # -- branch refinement ------------------------------------------------
 
@@ -144,19 +162,13 @@ class PrefixMap:
             if is_prefix(u, w) or is_prefix(w, u):
                 yield (u, v, c)
 
-    def _refine_branch(self, br, w):
-        """Restrict branch (u, v, c) to the deeper domain word w >= u."""
-        u, v, c = br
-        r2, k = self.sig.add_to_word(len(u), w[len(u) :], c)
-        return (w, v + r2, k)
-
     def refined_to(self, words):
         """Branches restricted to a finer domain cylinder partition."""
         out = []
         for w in words:
             for u, v, c in self._branch_for(w):
                 if is_prefix(u, w):
-                    out.append(self._refine_branch((u, v, c), w))
+                    out.append(refine_branch(self.sig, (u, v, c), w))
                 else:
                     # w above the branch: keep the branch itself
                     out.append((u, v, c))
@@ -179,7 +191,7 @@ class PrefixMap:
         below = []
         for u, v, c in self._branch_for(w):
             if is_prefix(u, w):
-                return [self._refine_branch((u, v, c), w)[1]]
+                return [refine_branch(self.sig, (u, v, c), w)[1]]
             below.append(v)
         return below
 
@@ -202,32 +214,15 @@ class PrefixMap:
     # -- group structure ----------------------------------------------------
 
     def inverse(self):
-        return PrefixMap(
-            self.sig, tuple(sorted((v, u, -c) for u, v, c in self.branches))
-        ).canonical()
+        return PrefixMap(self.sig, tuple(invert_branches(self.branches))).canonical()
 
     def after(self, other):
         """self o other (apply other first)."""
         if self.sig != other.sig:
             raise ValueError("signature mismatch")
-        out = []
-        for u1, v1, c1 in other.branches:
-            for u2, v2, c2 in self.branches:
-                if is_prefix(u2, v1):
-                    # whole branch lands inside [u2]
-                    r2, k = self.sig.add_to_word(len(u2), v1[len(u2) :], c2)
-                    out.append((u1, v2 + r2, c1 + k))
-                    break
-            else:
-                for u2, v2, c2 in self.branches:
-                    if is_prefix(v1, u2) and len(u2) > len(v1):
-                        # pull [u2] back through the carry c1
-                        rt, b = self.sig.add_to_word(len(v1), u2[len(v1) :], -c1)
-                        out.append((u1 + rt, v2, c2 - b))
-        return PrefixMap(self.sig, tuple(sorted(out))).canonical()
-
-    def __mul__(self, other):
-        return self.after(other)
+        return PrefixMap(
+            self.sig, tuple(compose_branches(self.sig, self.branches, other.branches))
+        ).canonical()
 
     def power(self, n):
         if n == 0:
@@ -244,16 +239,8 @@ class PrefixMap:
                 return out
             base = base.after(base)
 
-    def __eq__(self, other):
-        if not isinstance(other, PrefixMap):
-            return NotImplemented
-        return self.sig == other.sig and self.canonical().branches == other.canonical().branches
-
-    def __hash__(self):
-        return hash((self.sig, self.canonical().branches))
-
     def is_identity(self):
-        return self.canonical().branches == (((), (), 0),)
+        return self.branches == (((), (), 0),)
 
     def pretty(self):
         from .space import format_word
@@ -268,6 +255,36 @@ class PrefixMap:
 
     def __repr__(self):
         return f"PrefixMap{self.pretty()}"
+
+
+def refine_branch(sig, br, w):
+    """Restrict branch (u, v, c) to the deeper domain word w >= u."""
+    u, v, c = br
+    r2, k = sig.add_to_word(len(u), w[len(u) :], c)
+    return (w, v + r2, k)
+
+
+def compose_branches(sig, second, first):
+    """Branches of second o first; either list may be a partial fragment."""
+    out = []
+    for u1, v1, c1 in first:
+        for u2, v2, c2 in second:
+            if is_prefix(u2, v1):
+                # the whole branch lands inside [u2]; with prefix-free
+                # domains no other u2 meets v1
+                r2, k = sig.add_to_word(len(u2), v1[len(u2) :], c2)
+                out.append((u1, v2 + r2, c1 + k))
+                break
+            if is_prefix(v1, u2):
+                # pull [u2] back through the carry c1
+                rt, b = sig.add_to_word(len(v1), u2[len(v1) :], -c1)
+                out.append((u1 + rt, v2, c2 - b))
+    return out
+
+
+def invert_branches(branches):
+    """Branches of the inverse of a map or fragment."""
+    return [(v, u, -c) for u, v, c in branches]
 
 
 def common_refinement(S, T):
@@ -347,9 +364,6 @@ class OpenDiffSet:
         # removing finitely many points never empties a nonempty clopen set
         return self.core.is_empty
 
-    def contains(self, x):
-        return x.in_clopen(self.core) and all(x != p for p in self.removed)
-
     def __repr__(self):
         if not self.removed:
             return f"OpenDiffSet({self.core.pretty()})"
@@ -418,28 +432,10 @@ class Odometer:
         return Odometer(self.sig, -self.shift)
 
 
-@dataclass
-class Composite:
-    """Formal word in other homeomorphisms; resolves lazily and exactly."""
-
-    factors: tuple  # applied right to left
-
-    def as_map(self):
-        if not hasattr(self, "_resolved"):
-            maps = [as_prefix_map(f) for f in self.factors]
-            out = maps[-1]
-            for m in reversed(maps[:-1]):
-                out = m.after(out)
-            self._resolved = out
-        return self._resolved
-
-
 def as_prefix_map(h):
     if isinstance(h, PrefixMap):
         return h
-    if isinstance(h, (Odometer, Composite)):
-        return h.as_map()
-    if hasattr(h, "as_map"):
+    if isinstance(h, Odometer):
         return h.as_map()
     raise TypeError(f"cannot resolve {type(h).__name__} to an exact map")
 
@@ -659,16 +655,6 @@ class TowerSystem:
 
     def heights(self):
         return [len(c) for c in self.levels]
-
-    def image(self, A):
-        """Best clopen upper approximation of the image at deepest level."""
-        cycle = self.levels[-1]
-        out = Clopen.empty(self.sig)
-        m = len(cycle)
-        for i, atom in enumerate(cycle):
-            if not (A & atom).is_empty:
-                out = out | cycle[(i + 1) % m]
-        return out
 
     def tail_bound(self):
         """Weak-metric ambiguity of the deepest materialized level."""

@@ -20,8 +20,11 @@ from .homeo import (
     TowerSystem,
     as_prefix_map,
     common_refinement,
+    compose_branches,
     difference_set,
+    invert_branches,
     period_structure,
+    refine_branch,
     weak_distance,
     _sstar,
 )
@@ -66,32 +69,13 @@ def canonical_clopen_homeo(A, B):
     return branches
 
 
-def compose_fragments(sig, second, first):
-    """Branches of (second o first) for partial branch lists."""
-    out = []
-    for u1, v1, c1 in first:
-        for u2, v2, c2 in second:
-            if is_prefix(u2, v1):
-                r2, k = sig.add_to_word(len(u2), v1[len(u2) :], c2)
-                out.append((u1, v2 + r2, c1 + k))
-            elif is_prefix(v1, u2):
-                rt, b = sig.add_to_word(len(v1), u2[len(v1) :], -c1)
-                out.append((u1 + rt, v2, c2 - b))
-    return sorted(set(out))
-
-
-def invert_fragment(branches):
-    return sorted((v, u, -c) for u, v, c in branches)
-
-
 def restrict_fragment(sig, branches, A):
     """Branches of the fragment restricted to domain pieces inside A."""
     out = []
-    m = PrefixMap(sig, tuple(branches))
     for u, v, c in branches:
         part = Clopen(sig, (u,)) & A
         for w in part.words:
-            out.append(m._refine_branch((u, v, c), w))
+            out.append(refine_branch(sig, (u, v, c), w))
     return sorted(out)
 
 
@@ -368,9 +352,9 @@ def _glue_cycle(sig, pieces, close_exactly=False):
     for l in range(r - 1):
         f = canonical_clopen_homeo(pieces[l], pieces[(l + 1) % r])
         frags.extend(f)
-        path = f if path is None else compose_fragments(sig, f, path)
+        path = f if path is None else compose_branches(sig, f, path)
     if close_exactly:
-        frags.extend(invert_fragment(path))
+        frags.extend(invert_branches(path))
     else:
         frags.extend(canonical_clopen_homeo(pieces[-1], pieces[0]))
     return frags
@@ -384,7 +368,7 @@ def odometer_in_weak_neighborhood(T, partition):
         return SynthesisResult(ok=False, graph=g, witness=_witness_from_graph(g))
     pieces = _circuit_pieces(g)
     sig = partition[0].sig
-    S = PrefixMap.make(sig, _glue_cycle(sig, pieces), validate=True)
+    S = PrefixMap.make(sig, _glue_cycle(sig, pieces))
     tower = TowerSystem.from_cycle(pieces)
     Tm = as_prefix_map(T)
     cert = {
@@ -414,7 +398,7 @@ def periodic_in_weak_neighborhood(T, partition):
         all_pieces.append(pieces)
         branches.extend(_glue_cycle(sig, pieces, close_exactly=True))
         orders.append(len(pieces))
-    P = PrefixMap.make(sig, branches, validate=True)
+    P = PrefixMap.make(sig, branches)
     Tm = as_prefix_map(T)
     order = lcm(*orders) if orders else 1
     cert = {
@@ -476,9 +460,10 @@ def _iterates(M, A, k):
 
 
 def orbit_of(P, F, p):
-    Pm = as_prefix_map(P)
-    out = Clopen.empty(F.sig)
-    for cur in _iterates(Pm, F, p):
+    """F | P F | ... | P^(p-1) F."""
+    iterates = _iterates(as_prefix_map(P), F, p)
+    out = next(iterates, Clopen.empty(F.sig))
+    for cur in iterates:
         out = out | cur
     return out
 
@@ -546,8 +531,8 @@ def aperiodize_periodic(P, epsilon, p=None, max_order=64):
     rest = Clopen.full(Pm.sig) - top
     branches = restrict_fragment(Pm.sig, list(Pm.branches), rest)
     on_top = restrict_fragment(Pm.sig, list(Pm.branches), top)
-    branches += compose_fragments(Pm.sig, sigma, on_top)
-    T = PrefixMap.make(Pm.sig, branches, validate=True)
+    branches += compose_branches(Pm.sig, sigma, on_top)
+    T = PrefixMap.make(Pm.sig, branches)
     dw = weak_distance(T, Pm)
     if not dw < epsilon:
         raise RuntimeError("certificate failed: weak distance not below epsilon")
@@ -565,13 +550,6 @@ class Castle:
 
     def all_levels(self):
         return [lvl for _, _, levels in self.towers for lvl in levels]
-
-    def tops(self):
-        sig = self.base.sig
-        out = Clopen.empty(sig)
-        for _, _, levels in self.towers:
-            out = out | levels[-1]
-        return out
 
 
 def _separated_base(T, n, depth):
@@ -618,11 +596,7 @@ def _first_return_towers(T, B, cap):
 
 def _covered_bounds(Tm, B, n, measures):
     """Measures of the union of T^-j(B), 0 <= j < n."""
-    Tinv = Tm.inverse()
-    covered = back = B
-    for _ in range(n - 1):
-        back = Tinv.image(back)
-        covered = covered | back
+    covered = orbit_of(Tm.inverse(), B, n)
     return [measure_of(mu, covered) for mu in measures]
 
 
@@ -782,7 +756,7 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon, period_bound=8, depth_ca
                 branches += restrict_fragment(sig, list(Tm.branches), levels[-1])
             else:
                 branches += canonical_clopen_homeo(levels[-1], nxt_base)
-        S = PrefixMap.make(sig, branches, validate=True)
+        S = PrefixMap.make(sig, branches)
         E = difference_set(S, Tm)
         values = [open_diff_mass(mu, E) for mu in measures]
         if all(v < epsilon for v in values):

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from cantordyn.cli import main
 from cantordyn.docformat import parse
+
+from conftest import subprocess_env
 
 SWAP_DOC = "homeo tree-pair dyadic {0->1, 1->0}"
 DISS_DOC = "homeo tree-pair dyadic {0->00, 10->01, 11->1}"
@@ -189,3 +193,17 @@ def test_errors_exit_one(capsys):
     code, _, err = run(capsys, "rokhlin", "--target", "swap", "--n", "2",
                        "--measure", "uniform", "--epsilon", "1/4")
     assert code == 1 and "period" in err
+
+
+def test_zero_denominator_exits_one_without_traceback():
+    doc = "cdyn 1\nneighborhood weak 1/0 (tree-pair dyadic {0->1, 1->0})\n"
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordyn.cli", "member", "swap", doc],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert r.returncode == 1 and r.stdout == ""
+    assert "error: zero-denominator" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -151,6 +151,11 @@ REJECTS = [
         "certificate dyadic x {b 1, a 2}",
         "certificate-keys-not-sorted",
     ),
+    ("neighborhood weak 1/0 (odometer dyadic 1)", "zero-denominator"),
+    ("neighborhood weak 12/8 (odometer dyadic 1)", "rational-form"),
+    ("neighborhood weak 1/-2 (odometer dyadic 1)", "rational-form"),
+    ("certificate dyadic x {a +3}", "rational-form"),
+    ("clopen base(12;2) {.1}", "empty-digit"),
 ]
 
 
@@ -193,6 +198,30 @@ def test_random_documents_roundtrip():
         assert parse(text) == doc
         j = document_json(doc)
         assert j["kind"] == doc.kind and j["version"] == 1
+
+
+def test_mutated_documents_parse_or_raise_document_error():
+    """Seeded fuzz of the input boundary: a mutated printed document is
+    either a document or a DocumentError, never another exception."""
+    rng = random.Random(5)
+    alphabet = "0123456789/.-+,;()[]{}e \u2192\u00b2\n"
+    for _ in range(3000):
+        text = print_document(random_document(rng))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text))
+            ch = rng.choice(alphabet + text)
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:k] + text[k + 1 :]
+            elif op == 1:
+                text = text[:k] + ch + text[k:]
+            else:
+                text = text[:k] + ch + text[k + 1 :]
+        try:
+            doc = parse(text)
+        except DocumentError:
+            continue
+        assert isinstance(doc, Document)
 
 
 def test_json_mirror_fields():

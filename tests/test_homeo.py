@@ -12,16 +12,18 @@ from cantordyn.homeo import (
     as_prefix_map,
     centralizer_index_sequence,
     compose,
+    compose_branches,
     difference_set,
     fixed_points,
     full_group_membership,
     inverse,
+    invert_branches,
     period_structure,
     point_add,
     power,
     weak_distance,
 )
-from cantordyn.synth import truncation
+from cantordyn.synth import restrict_fragment, truncation
 
 from conftest import SIGS, mask, random_clopen, random_homeo
 
@@ -265,3 +267,107 @@ def test_image_of_union_against_mask_oracle(drawn):
     union = S.image(A | B)
     assert union == S.image(A) | S.image(B)
     assert mask(union, 8) == mask(S.image(A), 8) | mask(S.image(B), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps)
+def test_composition_associative_and_image_preimage_inverse(drawn):
+    sig, rng = drawn
+    S, T, R = (random_homeo(rng, sig) for _ in range(3))
+    assert S.after(T).after(R) == S.after(T.after(R))
+    A = random_clopen(rng, sig)
+    assert S.preimage(S.image(A)) == A == S.image(S.preimage(A))
+    assert mask(S.after(T).image(A), 8) == mask(S.image(T.image(A)), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps)
+def test_weak_distance_is_a_metric(drawn):
+    sig, rng = drawn
+    S, T, R = (random_homeo(rng, sig) for _ in range(3))
+    d = weak_distance(S, T)
+    assert d == weak_distance(T, S)
+    assert weak_distance(S, S) == 0
+    assert (d == 0) == (S == T)
+    assert weak_distance(S, R) <= d + weak_distance(T, R)
+
+
+# -- canonical as built ---------------------------------------------------------
+
+
+def _built_maps(rng, sig):
+    """Outputs of make, after, inverse and power on random maps."""
+    S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+    d = S.max_domain_depth() + 1
+    return [
+        PrefixMap.make(sig, S.table(d)),
+        S.after(T),
+        S.inverse(),
+        S.power(rng.randint(2, 5)),
+        S.power(-rng.randint(1, 5)),
+    ]
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_maps_are_canonical_as_built(sig):
+    rng = random.Random(31)
+    for _ in range(20):
+        for m in _built_maps(rng, sig):
+            assert m.canonical() == m
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_canonical_merges_refined_tables(sig):
+    """Refined tables collapse back in one pass, cascading through levels."""
+    rng = random.Random(37)
+    for _ in range(20):
+        for m in _built_maps(rng, sig):
+            top = m.max_domain_depth()
+            for d in range(top, top + 3):
+                assert PrefixMap(sig, tuple(m.table(d))).canonical() == m
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_equality_does_not_canonicalize(sig, monkeypatch):
+    calls = []
+    canonical = PrefixMap.canonical
+
+    def counted(self):
+        calls.append(None)
+        return canonical(self)
+
+    monkeypatch.setattr(PrefixMap, "canonical", counted)
+    rng = random.Random(41)
+    S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+    calls.clear()
+    assert (S == T) == (S.branches == T.branches)
+    hash(S)
+    S.is_identity()
+    assert calls == []
+    S.after(T)
+    assert len(calls) == 1
+    S.inverse()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_compose_branches_on_partial_fragments(sig):
+    """Each branch of a composed fragment maps its cylinder exactly where
+    S o T does, and the fragment covers exactly the restricted domain."""
+    rng = random.Random(43)
+    for _ in range(25):
+        S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+        A = random_clopen(rng, sig)
+        first = restrict_fragment(sig, T.branches, A)
+        second = restrict_fragment(sig, S.branches, T.image(A))
+        composed = compose_branches(sig, second, first)
+        depth = 1 + max((len(w) for br in composed for w in br[:2]), default=0)
+        assert mask(Clopen.make(sig, [u for u, _, _ in composed]), depth) == mask(
+            A, depth
+        )
+        for u, v, _ in composed:
+            image = S.image(T.image(Clopen.cylinder(sig, u)))
+            assert mask(image, depth) == mask(Clopen.cylinder(sig, v), depth)
+        Tinv = T.inverse()
+        for v, u, _ in invert_branches(first):
+            assert Tinv.image(Clopen.cylinder(sig, v)) == Clopen.cylinder(sig, u)

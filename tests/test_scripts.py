@@ -1,5 +1,8 @@
-"""Smoke runs of the scripts under scripts/, from the root of the checkout."""
+"""Smoke runs of the scripts under scripts/, from the root of the checkout,
+and a check that the benchmark's tracer still finds its entry points."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -28,3 +31,20 @@ def test_script_runs(argv):
     )
     assert r.returncode == 0, r.stderr.decode()
     assert r.stdout
+
+
+def test_perfbench_trace_entry_points_resolve():
+    """perfbench/run.py --trace 1 wraps these names with owner.__dict__[attr]
+    and fails with KeyError when a library rename removes one."""
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.EXPLICIT.items():
+        mod = importlib.import_module(f"cantordyn.{layer}")
+        for qual in names:
+            owner, attr = mod, qual
+            if "." in qual:
+                cls_name, attr = qual.split(".")
+                owner = getattr(mod, cls_name)
+            assert attr in owner.__dict__, f"{layer}.{qual}"
