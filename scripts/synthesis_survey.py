@@ -9,10 +9,7 @@ Usage: python scripts/synthesis_survey.py [--trials 500] [--seed 1]
 
 import argparse
 import random
-import sys
 import time
-
-sys.path.insert(0, "tests")
 
 from cantordyn.space import DYADIC
 from cantordyn.homeo import as_prefix_map
@@ -20,8 +17,7 @@ from cantordyn.synth import (
     odometer_in_weak_neighborhood,
     periodic_in_weak_neighborhood,
 )
-
-from conftest import random_homeo, random_partition
+from cantordyn.gen import random_homeo, random_partition
 
 
 def main():

@@ -15,8 +15,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .space import DYADIC, Clopen, Point, Signature
-from .measure import Dirac, Mixture, ProductMeasure
+from .space import DYADIC
+from .measure import ProductMeasure, measure_of
 from .homeo import (
     Odometer,
     PrefixMap,
@@ -29,16 +29,7 @@ from .homeo import (
     weak_distance,
 )
 from .topology import IndeterminateAtDepth, in_neighborhood, defect_over_partition
-from .measure import measure_of
-from .synth import (
-    aperiodize_periodic,
-    fundamental_domain,
-    odometer_in_weak_neighborhood,
-    overlap_graph,
-    periodic_in_weak_neighborhood,
-    rank1_in_uniform_neighborhood,
-    rokhlin_castle,
-)
+from .gen import random_document
 from . import docformat as df
 
 
@@ -71,20 +62,14 @@ def resolve_homeo(text):
             rest, ks = rest.rsplit(":", 1)
             k = int(ks)
         return Odometer(_parse_sig_token(rest), k)
-    doc = _load_document(text)
-    if doc.kind != "homeo":
-        raise CliError(f"expected a homeo document, got {doc.kind}")
-    return doc.value
+    return _load_document(text, "homeo")
 
 
 def resolve_measure(text, sig):
     if text == "uniform":
         return ProductMeasure.uniform(sig)
     if os.path.exists(text) or text.startswith(("measure ", "cdyn ")):
-        doc = _load_document(text)
-        if doc.kind != "measure":
-            raise CliError(f"expected a measure document, got {doc.kind}")
-        return doc.value
+        return _load_document(text, "measure")
     # inline measure expression over the target signature
     p = df._Parser(text)
     mu = p.measure(sig)
@@ -93,18 +78,16 @@ def resolve_measure(text, sig):
     return mu
 
 
-def resolve_neighborhood(text):
-    doc = _load_document(text)
-    if doc.kind != "neighborhood":
-        raise CliError(f"expected a neighborhood document, got {doc.kind}")
-    return doc.value
-
-
-def _load_document(text):
+def _load_document(text, kind):
+    """The value of the `kind` document in the file named text, or in text
+    itself."""
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as f:
-            return df.parse(f.read())
-    return df.parse(text)
+            text = f.read()
+    doc = df.parse(text)
+    if doc.kind != kind:
+        raise CliError(f"expected a {kind} document, got {doc.kind}")
+    return doc.value
 
 
 def parse_partition(text, sig):
@@ -121,46 +104,34 @@ def parse_partition(text, sig):
 
 
 class Out:
+    """A command's output items, rendered as they come in the chosen format
+    and written together once the command has succeeded."""
+
     def __init__(self, fmt):
-        self.fmt = fmt
+        self.json = fmt == "json"
         self.items = []
 
-    def scalar(self, value):
-        self.items.append(("scalar", str(value)))
+    def text(self, value):
+        self.items.append({"value": str(value)} if self.json else str(value))
 
     def doc(self, document):
-        self.items.append(("doc", document))
-
-    def line(self, text):
-        self.items.append(("scalar", text))
-
-    def raw(self, text):
-        self.items.append(("raw", text))
+        if self.json:
+            self.items.append(df.document_json(document))
+        else:
+            self.items.append(df.print_document(document).rstrip("\n"))
 
     def emit(self):
-        if self.fmt == "json":
-            payload = []
-            for kind, item in self.items:
-                if kind == "doc":
-                    payload.append(df.document_json(item))
-                else:
-                    payload.append({"value": item})
-            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-            return
-        chunks = []
-        for kind, item in self.items:
-            if kind == "doc":
-                chunks.append(df.print_document(item).rstrip("\n"))
-            else:
-                chunks.append(item)
-        sys.stdout.write("\n".join(chunks) + "\n")
+        if self.json:
+            sys.stdout.write(json.dumps(self.items, sort_keys=True, indent=2) + "\n")
+        else:
+            sys.stdout.write("\n".join(self.items) + "\n")
 
 
-def _diff_certificate(sig, E):
-    entries = {"core": E.core}
-    for i, x in enumerate(E.removed):
-        entries[f"removed_{i}"] = x
-    return df.doc_certificate(sig, "difference", entries)
+def _epsilon(args):
+    try:
+        return Fraction(args.epsilon)
+    except ZeroDivisionError:
+        raise CliError(f"--epsilon {args.epsilon} has a zero denominator") from None
 
 
 # -- commands --------------------------------------------------------------------
@@ -169,13 +140,13 @@ def _diff_certificate(sig, E):
 def cmd_dist(args, out):
     S = resolve_homeo(args.S)
     T = resolve_homeo(args.T)
-    out.scalar(weak_distance(S, T))
+    out.text(weak_distance(S, T))
     return 0
 
 
 def cmd_member(args, out):
     S = resolve_homeo(args.S)
-    N = resolve_neighborhood(args.N)
+    N = _load_document(args.N, "neighborhood")
     sig = S.sig
     try:
         m = in_neighborhood(S, N)
@@ -212,7 +183,7 @@ def cmd_defect(args, out):
     mu = resolve_measure(args.measure, sig)
     partition = parse_partition(args.partition, sig)
     kind = {"tau-prime": "tau_prime", "bar-tau": "bar_tau"}[args.kind]
-    out.scalar(defect_over_partition(kind, S, T, mu, partition))
+    out.text(defect_over_partition(kind, S, T, mu, partition))
     return 0
 
 
@@ -230,7 +201,7 @@ def cmd_tabulate(args, out):
     sig = T.sig
     for u, v, c in sorted(T.table(args.depth)):
         tail = f"+{c}" if c > 0 else (str(c) if c < 0 else "")
-        out.line(f"{df.word_text(sig, u)} -> {df.word_text(sig, v)}{tail}")
+        out.text(f"{df.word_text(sig, u)} -> {df.word_text(sig, v)}{tail}")
     return 0
 
 
@@ -238,7 +209,10 @@ def cmd_diff(args, out):
     S = resolve_homeo(args.S)
     T = resolve_homeo(args.T)
     E = difference_set(S, T)
-    out.doc(_diff_certificate(as_prefix_map(S).sig, E))
+    entries = {"core": E.core}
+    for i, x in enumerate(E.removed):
+        entries[f"removed_{i}"] = x
+    out.doc(df.doc_certificate(as_prefix_map(S).sig, "difference", entries))
     return 0
 
 
@@ -287,15 +261,19 @@ def cmd_centralizer(args, out):
 
 
 def cmd_synth(args, out):
+    from . import synth
+
     kind = args.kind
     T = resolve_homeo(args.target)
     sig = as_prefix_map(T).sig
     if kind in ("odometer", "periodic"):
+        if args.partition is None:
+            raise CliError(f"synth {kind} needs --partition")
         partition = parse_partition(args.partition, sig)
         fn = (
-            odometer_in_weak_neighborhood
+            synth.odometer_in_weak_neighborhood
             if kind == "odometer"
-            else periodic_in_weak_neighborhood
+            else synth.periodic_in_weak_neighborhood
         )
         res = fn(T, partition)
         if not res.ok:
@@ -313,7 +291,7 @@ def cmd_synth(args, out):
         return 0
     if kind == "rank1":
         measures = [resolve_measure(m, sig) for m in args.measure]
-        res = rank1_in_uniform_neighborhood(T, measures, Fraction(args.epsilon))
+        res = synth.rank1_in_uniform_neighborhood(T, measures, _epsilon(args))
         out.doc(df.doc_homeo(res.homeo))
         entries = {"core": res.certificate["difference_set"].core}
         for i, v in enumerate(res.certificate["measures_of_difference"]):
@@ -321,7 +299,7 @@ def cmd_synth(args, out):
         out.doc(df.doc_certificate(sig, "synth-rank1", entries))
         return 0
     if kind == "aperiodize":
-        S, cert = aperiodize_periodic(T, Fraction(args.epsilon), p=args.period)
+        S, cert = synth.aperiodize_periodic(T, _epsilon(args), p=args.period)
         out.doc(df.doc_homeo(S))
         out.doc(
             df.doc_certificate(
@@ -335,179 +313,48 @@ def cmd_synth(args, out):
             )
         )
         return 0
-    if kind == "fundamental":
-        E = fundamental_domain(T, args.period)
-        out.doc(df.doc_clopen(E))
-        return 0
-    raise CliError(f"unknown synthesis kind {kind!r}")
+    # kind == "fundamental", the last of the parser's choices
+    if args.period is None:
+        raise CliError("synth fundamental needs --period")
+    out.doc(df.doc_clopen(synth.fundamental_domain(T, args.period)))
+    return 0
 
 
 def cmd_rokhlin(args, out):
+    from .synth import rokhlin_castle
+
     T = resolve_homeo(args.target)
     sig = as_prefix_map(T).sig
     measures = [resolve_measure(m, sig) for m in args.measure]
-    eps = Fraction(args.epsilon)
+    eps = _epsilon(args)
     castle = rokhlin_castle(
         T, args.n, measures, eps, period_bound=args.bound
     )
     towers = [(base, h) for base, h, _ in castle.towers]
     out.doc(df.doc_castle(sig, towers, castle.base, castle.bound))
-    out.line(f"bound {min(castle.bound)} > {1 - eps}")
+    out.text(f"bound {min(castle.bound)} > {1 - eps}")
     return 0
 
 
 def cmd_graph_dot(args, out):
+    from .synth import overlap_graph
+
     T = resolve_homeo(args.target)
     sig = as_prefix_map(T).sig
     partition = parse_partition(args.partition, sig)
     g = overlap_graph(T, partition)
-    out.raw(g.to_dot())
+    out.text(g.to_dot())
     return 0
 
 
 def cmd_measure(args, out):
-    doc = None
+    if not (os.path.exists(args.set) or args.set.startswith(("clopen ", "cdyn "))):
+        raise CliError("the set argument must be a clopen document")
     # the clopen argument fixes the signature for alias measures
-    A_doc = _load_document(args.set) if os.path.exists(args.set) else None
-    if A_doc is not None:
-        if A_doc.kind != "clopen":
-            raise CliError(f"expected a clopen document, got {A_doc.kind}")
-        A = A_doc.value
-    else:
-        body = args.set
-        if body.startswith(("clopen ", "cdyn ")):
-            doc = df.parse(body)
-            if doc.kind != "clopen":
-                raise CliError(f"expected a clopen document, got {doc.kind}")
-            A = doc.value
-        else:
-            raise CliError("the set argument must be a clopen document")
+    A = _load_document(args.set, "clopen")
     mu = resolve_measure(args.M, A.sig)
-    out.scalar(measure_of(mu, A))
+    out.text(measure_of(mu, A))
     return 0
-
-
-# -- random canonical documents (test data) ---------------------------------------
-
-
-def random_signature(rng):
-    if rng.random() < 0.5:
-        return DYADIC
-    pre = tuple(rng.randint(2, 4) for _ in range(rng.randint(0, 2)))
-    per = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 2)))
-    return Signature(pre, per)
-
-
-def random_clopen(rng, sig):
-    depth = rng.randint(1, 3)
-    words = []
-    for _ in range(rng.randint(0, 4)):
-        d = rng.randint(1, depth)
-        words.append(tuple(rng.randrange(sig.level(t)) for t in range(d)))
-    return Clopen.make(sig, words)
-
-
-def random_point(rng, sig):
-    h = rng.randint(0, 2)
-    head = tuple(rng.randrange(sig.level(t)) for t in range(h))
-    horizon = len(sig.preperiod) + len(sig.period) + h
-    lo = min(sig.level(t) for t in range(h, horizon + 1))
-    cycle = tuple(rng.randrange(lo) for _ in range(rng.randint(1, 2)))
-    return Point.make(sig, head, cycle)
-
-
-def random_product(rng, sig):
-    rows = []
-    for t in range(len(sig.preperiod) + len(sig.period)):
-        raw = [rng.randint(1, 4) for _ in range(sig.level(t))]
-        s = sum(raw)
-        rows.append(tuple(Fraction(x, s) for x in raw))
-    k = len(sig.preperiod)
-    return ProductMeasure.make(sig, rows[:k], rows[k:])
-
-
-def random_measure(rng, sig):
-    c = rng.randrange(4)
-    if c == 0:
-        return ProductMeasure.uniform(sig)
-    if c == 1:
-        return random_product(rng, sig)
-    if c == 2:
-        return Dirac(sig, random_point(rng, sig))
-    parts = [ProductMeasure.uniform(sig), Dirac(sig, random_point(rng, sig))]
-    w = Fraction(rng.randint(1, 3), 4)
-    comps = sorted(
-        [(w, parts[0]), (1 - w, parts[1])], key=lambda wm: df.measure_text(wm[1])
-    )
-    return Mixture.make(sig, comps)
-
-
-def random_homeo(rng, sig):
-    c = rng.randrange(3)
-    if c == 0:
-        return Odometer(sig, rng.choice([-2, -1, 1, 2, 3]))
-    depth = rng.randint(1, 2)
-    words = sig.words(depth)
-    perm = list(words)
-    rng.shuffle(perm)
-    tp = PrefixMap.tree_pair(sig, list(zip(words, perm)))
-    if c == 1:
-        return tp
-    return as_prefix_map(Odometer(sig, 1)).after(tp)
-
-
-def random_document(rng, kind=None):
-    if kind is None:
-        kind = rng.choice(df.KINDS)
-    sig = random_signature(rng)
-    if kind == "signature":
-        return df.doc_signature(sig)
-    if kind == "clopen":
-        return df.doc_clopen(random_clopen(rng, sig))
-    if kind == "measure":
-        return df.doc_measure(random_measure(rng, sig))
-    if kind == "homeo":
-        return df.doc_homeo(random_homeo(rng, sig))
-    if kind == "neighborhood":
-        base = random_homeo(rng, sig)
-        c = rng.randrange(4)
-        eps = Fraction(1, rng.choice([2, 4, 8]))
-        if c == 0:
-            from .topology import WeakBall
-
-            return df.doc_neighborhood(WeakBall(base, eps))
-        if c == 1:
-            from .topology import PNeighborhood
-
-            sets = tuple(
-                random_clopen(rng, sig) for _ in range(rng.randint(1, 2))
-            )
-            return df.doc_neighborhood(PNeighborhood(base, sets))
-        if c == 2:
-            from .topology import UniformNeighborhood
-
-            mus = tuple(random_measure(rng, sig) for _ in range(rng.randint(1, 2)))
-            return df.doc_neighborhood(UniformNeighborhood(base, mus, eps))
-        from .topology import BarPNeighborhood
-
-        sets = (random_clopen(rng, sig),)
-        mus = (random_measure(rng, sig),)
-        return df.doc_neighborhood(BarPNeighborhood(base, sets, mus, eps))
-    if kind == "castle":
-        towers = []
-        for _ in range(rng.randint(1, 3)):
-            b = random_clopen(rng, sig)
-            towers.append((b, rng.randint(1, 5)))
-        base = random_clopen(rng, sig)
-        bound = tuple(Fraction(rng.randint(0, 8), 8) for _ in range(2))
-        return df.doc_castle(sig, towers, base, bound)
-    entries = {
-        "bound": Fraction(rng.randint(0, 8), 8),
-        "ok": rng.random() < 0.5,
-        "set": random_clopen(rng, sig),
-        "order": rng.randint(1, 16),
-    }
-    return df.doc_certificate(sig, rng.choice(["check", "witness"]), entries)
 
 
 def cmd_gen(args, out):
@@ -527,7 +374,7 @@ def build_parser():
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=["text", "json", "dot"], default="text")
+        p.add_argument("--format", choices=["text", "json"], default="text")
         return p
 
     p = add("dist", cmd_dist, help="exact weak distance between two maps")

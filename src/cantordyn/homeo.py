@@ -18,7 +18,7 @@ equality and hashing are those of the (sig, branches) tuple, as for Clopen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .space import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .space import Clopen, Point
+from .space import Point
 
 
 def _check_weights(sig, rows, where):

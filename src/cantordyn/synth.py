@@ -443,6 +443,13 @@ def _min_displacement(P):
     return best
 
 
+def _positive(epsilon):
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return epsilon
+
+
 def _powers(M, k):
     """[M, M^2, ..., M^k], one composition per step."""
     out = [M] if k > 0 else []
@@ -470,6 +477,8 @@ def orbit_of(P, F, p):
 
 def fundamental_domain(P, p):
     """Clopen E with (E, P E, ..., P^{p-1} E) an exact partition."""
+    if p < 1:
+        raise ValueError(f"period must be positive, got {p}")
     Pm = as_prefix_map(P)
     if not Pm.power(p).is_identity():
         raise ValueError(f"map is not exactly {p}-periodic")
@@ -499,7 +508,7 @@ def aperiodize_periodic(P, epsilon, p=None, max_order=64):
     adding machines on small cells, so the return map has no finite orbits.
     """
     Pm = as_prefix_map(P)
-    epsilon = Fraction(epsilon)
+    epsilon = _positive(epsilon)
     if p is None:
         cur = PrefixMap.identity(Pm.sig)
         for q in range(1, max_order + 1):
@@ -552,12 +561,11 @@ class Castle:
         return [lvl for _, _, levels in self.towers for lvl in levels]
 
 
-def _separated_base(T, n, depth):
+def _separated_base(Tm, Tinv, n, depth):
     """Greedy clopen set built from depth-d cylinders, visiting each orbit
     with gaps in [n, 2n-1]."""
-    Tm = as_prefix_map(T)
     sig = Tm.sig
-    powers = _powers(Tm, n - 1) + _powers(Tm.inverse(), n - 1)
+    powers = _powers(Tm, n - 1) + _powers(Tinv, n - 1)
     B = Clopen.empty(sig)
     # union of T^j(B), 0 < |j| < n; a homeomorphism maps a union to the
     # union of the images, so only the images of each new piece are added
@@ -571,10 +579,8 @@ def _separated_base(T, n, depth):
     return B
 
 
-def _first_return_towers(T, B, cap):
+def _first_return_towers(Tm, Tinv, B, cap):
     """Towers over B decomposed by first return time, exact."""
-    Tm = as_prefix_map(T)
-    Tinv = Tm.inverse()
     towers = []
     remaining = B
     back = B  # T^-h(B)
@@ -594,9 +600,9 @@ def _first_return_towers(T, B, cap):
     return towers
 
 
-def _covered_bounds(Tm, B, n, measures):
+def _covered_bounds(Tinv, B, n, measures):
     """Measures of the union of T^-j(B), 0 <= j < n."""
-    covered = orbit_of(Tm.inverse(), B, n)
+    covered = orbit_of(Tinv, B, n)
     return [measure_of(mu, covered) for mu in measures]
 
 
@@ -618,30 +624,28 @@ def _separated_cover_exists(Tm, sep, depth):
     return True
 
 
-def _shifted_top_castle(Tm, towers0, n, measures):
+def _shifted_top_castle(Tinv, towers0, n, measures):
     """Best castle over T^-K of the tops, K in [0, n), preferring the deepest
     pullback on ties."""
-    sig = Tm.sig
-    V = Clopen.empty(sig)
+    V = Clopen.empty(Tinv.sig)
     for _, _, levels in towers0:
         V = V | levels[-1]
     best = None
-    for K, B in enumerate(_iterates(Tm.inverse(), V, n)):
-        bounds = _covered_bounds(Tm, B, n, measures)
+    for K, B in enumerate(_iterates(Tinv, V, n)):
+        bounds = _covered_bounds(Tinv, B, n, measures)
         if best is None or (min(bounds), K) > (min(best[1]), best[2]):
             best = (B, bounds, K)
     B, bounds, _ = best
     return B, bounds
 
 
-def _sliced_castle(Tm, towers0, n, measures):
+def _sliced_castle(Tinv, towers0, n, measures):
     """Slice tall return towers into height-n blocks, one block per tower
     absorbing the height remainder.  The candidate leftover sets for the
     different absorber positions are pairwise disjoint, so when there are
     more than (number of measures)/epsilon candidates one of them must
     leave less than epsilon uncovered.
     """
-    sig = Tm.sig
     q = min(h // n for _, h, _ in towers0)
     best = None
     for bstar in range(q):
@@ -655,10 +659,10 @@ def _sliced_castle(Tm, towers0, n, measures):
                 blk = n + (r if b == absorber else 0)
                 towers.append((levels[start], blk, levels[start : start + blk]))
                 start += blk
-        B = Clopen.empty(sig)
+        B = Clopen.empty(Tinv.sig)
         for base, _, _ in towers:
             B = B | base
-        bounds = _covered_bounds(Tm, B, n, measures)
+        bounds = _covered_bounds(Tinv, B, n, measures)
         if best is None or min(bounds) > min(best[2]):
             best = (towers, B, bounds)
     return best
@@ -675,7 +679,7 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
     diagnostics at the cap.
     """
     Tm = as_prefix_map(T)
-    epsilon = Fraction(epsilon)
+    epsilon = _positive(epsilon)
     bound_n = period_bound if period_bound is not None else n
     info = period_structure(Tm, bound_n)
     if not info["aperiodic_up_to_bound"]:
@@ -686,28 +690,29 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
             if pts:
                 raise ValueError(f"periodic point of period {q} found: {pts[0]}")
     slices = max(2, int(len(measures) / epsilon) + 1)
+    Tinv = Tm.inverse()
     last_diag = None
     for depth in range(1, depth_cap + 1):
         candidates = []
         if _separated_cover_exists(Tm, n, depth):
-            B0 = _separated_base(Tm, n, depth)
-            towers0 = _first_return_towers(Tm, B0, cap=2 * n)
+            B0 = _separated_base(Tm, Tinv, n, depth)
+            towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
             if towers0 is not None:
-                B, bounds = _shifted_top_castle(Tm, towers0, n, measures)
+                B, bounds = _shifted_top_castle(Tinv, towers0, n, measures)
                 candidates.append((B, bounds))
         sep = slices * n
         if sep > n and _separated_cover_exists(Tm, sep, depth):
-            B0 = _separated_base(Tm, sep, depth)
-            towers0 = _first_return_towers(Tm, B0, cap=2 * sep)
+            B0 = _separated_base(Tm, Tinv, sep, depth)
+            towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
             if towers0 is not None:
-                towers, B, bounds = _sliced_castle(Tm, towers0, n, measures)
+                towers, B, bounds = _sliced_castle(Tinv, towers0, n, measures)
                 candidates.append((B, bounds))
         if not candidates:
             last_diag = f"no separated cover at depth {depth}"
             continue
         for B, bounds in candidates:
             if all(b > 1 - epsilon for b in bounds):
-                towers = _first_return_towers(Tm, B, cap=2 * n)
+                towers = _first_return_towers(Tm, Tinv, B, cap=2 * n)
                 castle = Castle(towers=towers, base=B, bound=bounds)
                 _verify_castle(castle, n)
                 return castle
@@ -733,7 +738,7 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon, period_bound=8, depth_ca
     difference set itself, not from the construction.
     """
     Tm = as_prefix_map(T)
-    epsilon = Fraction(epsilon)
+    epsilon = _positive(epsilon)
     n = 2
     last = None
     while n <= 4096:
@@ -780,12 +785,13 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon, period_bound=8, depth_ca
 # -- periodic approximation of odometers ----------------------------------------
 
 
-def truncation(sig, t):
-    """The depth-t cyclic prefix exchange approximating the adding machine."""
+def truncation(sig, t, k=1):
+    """The depth-t cyclic prefix exchange approximating the adding machine
+    shifted by k."""
     n = sig.num_words(t)
     return PrefixMap.tree_pair(
         sig,
-        [(sig.word_of_index(i, t), sig.word_of_index(i + 1, t)) for i in range(n)],
+        [(sig.word_of_index(i, t), sig.word_of_index(i + k, t)) for i in range(n)],
     )
 
 
@@ -815,7 +821,7 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
             t += 1
             if t > depth_cap:
                 raise RuntimeError("depth cap exceeded in weak mode")
-        Qs = _shifted_truncation(sig, S.shift, t)
+        Qs = truncation(sig, t, S.shift)
         dw = weak_distance(S, Qs)
         if not dw < epsilon:
             raise RuntimeError("certificate failed: weak distance not below epsilon")
@@ -829,7 +835,7 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
         if not measures:
             raise ValueError("uniform mode needs measures")
         for t in range(1, depth_cap + 1):
-            Qs = _shifted_truncation(sig, S.shift, t)
+            Qs = truncation(sig, t, S.shift)
             E = difference_set(Qs, S)
             values = [open_diff_mass(mu, E) for mu in measures]
             if all(v < epsilon for v in values):
@@ -843,7 +849,7 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
                     },
                 )
         # locate the obstructing atom at the cap
-        Qs = _shifted_truncation(sig, S.shift, depth_cap)
+        Qs = truncation(sig, depth_cap, S.shift)
         E = difference_set(Qs, S)
         atom = _find_atom_in(measures, E.core)
         return PeriodicApproximant(
@@ -853,14 +859,6 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
             certificate={"difference_core": E.core},
         )
     raise ValueError("mode must be weak or uniform")
-
-
-def _shifted_truncation(sig, k, t):
-    n = sig.num_words(t)
-    return PrefixMap.tree_pair(
-        sig,
-        [(sig.word_of_index(i, t), sig.word_of_index(i + k, t)) for i in range(n)],
-    )
 
 
 def _find_atom_in(measures, core):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .space import Clopen
 from .measure import measure_of, open_diff_mass
 from .homeo import (
-    PrefixMap,
     TowerSystem,
     as_prefix_map,
     difference_set,
@@ -80,6 +79,7 @@ def _tower_interval(S, T):
         raise NotImplementedError("interval for two tower systems not supported")
     tower, other = (S, T) if isinstance(S, TowerSystem) else (T, S)
     other = as_prefix_map(other)
+    other_inv = other.inverse()
     lo = Fraction(0)
     hi = Fraction(0)
     lo_inv = Fraction(0)
@@ -92,7 +92,7 @@ def _tower_interval(S, T):
         lo = max(lo, img.dist(nxt))
         hi = max(hi, (img | nxt).diameter())
         prv = cycle[(i - 1) % m]
-        pre = other.preimage(atom)
+        pre = other_inv.image(atom)
         lo_inv = max(lo_inv, pre.dist(prv))
         hi_inv = max(hi_inv, (pre | prv).diameter())
     return (lo + lo_inv, hi + hi_inv)

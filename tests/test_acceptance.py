@@ -47,10 +47,10 @@ from cantordyn.synth import (
     rokhlin_castle,
     truncation,
 )
-from cantordyn.cli import random_document
 from cantordyn.docformat import parse, print_document
+from cantordyn.gen import random_document, random_homeo, random_partition
 
-from conftest import mask, random_homeo, random_partition, subprocess_env
+from conftest import mask, subprocess_env
 
 SWAP = PrefixMap.tree_pair(DYADIC, [((0,), (1,)), ((1,), (0,))])
 DISS = PrefixMap.tree_pair(

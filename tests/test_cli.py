@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from cantordyn.docformat import parse
 
 from conftest import subprocess_env
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWAP_DOC = "homeo tree-pair dyadic {0->1, 1->0}"
 DISS_DOC = "homeo tree-pair dyadic {0->00, 10->01, 11->1}"
 
@@ -125,32 +127,6 @@ def test_synth_rank1(capsys):
     assert code == 0 and "mass_0 0" in out
 
 
-def test_rokhlin(capsys):
-    code, out, _ = run(
-        capsys,
-        "rokhlin",
-        "--target", "odometer:dyadic",
-        "--n", "2",
-        "--measure", "uniform",
-        "--epsilon", "1/4",
-    )
-    assert code == 0
-    assert "castle dyadic towers[({0}, 2)] base {0} bound [1]" in out
-    assert "bound 1 > 3/4" in out
-
-
-def test_graph_dot(capsys):
-    code, out, _ = run(
-        capsys,
-        "graph-dot",
-        "--target", "odometer:dyadic",
-        "--partition", "{0},{1}",
-    )
-    assert code == 0
-    assert out.startswith("digraph")
-    assert "v0 -> v1" in out and "v1 -> v0" in out
-
-
 def test_measure_command(capsys):
     code, out, _ = run(capsys, "measure", "uniform", "clopen dyadic {01}")
     assert code == 0 and out == "1/4\n"
@@ -171,18 +147,6 @@ def test_gen_is_seeded_and_canonical(capsys):
     lines = [ln for ln in out1.splitlines() if ln and ln != "cdyn 1"]
     for ln in lines:
         parse(ln)
-
-
-def test_json_format(capsys):
-    code, out, _ = run(capsys, "dist", "id", "swap", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == [{"value": "2"}]
-    code, out, _ = run(
-        capsys, "compose", "swap", "swap", "--format", "json"
-    )
-    payload = json.loads(out)
-    assert payload[0]["kind"] == "homeo"
-    assert payload[0]["homeo"] == "tree-pair dyadic {e->e}"
 
 
 def test_errors_exit_one(capsys):
@@ -207,3 +171,62 @@ def test_zero_denominator_exits_one_without_traceback():
     assert r.returncode == 1 and r.stdout == ""
     assert "error: zero-denominator" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_golden_output(capsys):
+    """Every fixture of perfbench/golden_cli.json prints the recorded stdout
+    bytes and exits with the recorded code."""
+    with open(os.path.join(ROOT, "perfbench", "golden_cli.json"), encoding="utf-8") as f:
+        golden = json.load(f)
+    for g in golden:
+        code, out, _ = run(capsys, *g["argv"])
+        assert (out, code) == (g["stdout"], g["code"]), g["argv"]
+
+
+ROKHLIN = ["rokhlin", "--target", "odometer:dyadic", "--n", "2", "--measure", "uniform"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (ROKHLIN + ["--epsilon", "1/0"], "--epsilon 1/0 has a zero denominator"),
+        (ROKHLIN + ["--epsilon", "0"], "epsilon must be positive"),
+        (["synth", "aperiodize", "--target", "swap", "--epsilon", "0"],
+         "epsilon must be positive"),
+        (["synth", "rank1", "--target", "odometer:dyadic", "--measure", "uniform",
+          "--epsilon", "0"], "epsilon must be positive"),
+        (["synth", "fundamental", "--target", "swap"], "synth fundamental needs --period"),
+        (["synth", "fundamental", "--target", "swap", "--period", "0"],
+         "period must be positive"),
+        (["synth", "odometer", "--target", "odometer:dyadic"],
+         "synth odometer needs --partition"),
+    ],
+)
+def test_bad_synth_input_exits_one_without_traceback(argv, reason):
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordyn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=20,
+    )
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith(f"error: {reason}")
+    assert "Traceback" not in r.stderr
+
+
+def test_imports_load_only_what_they_use():
+    code = (
+        "import sys, cantordyn\n"
+        "print([m for m in sys.modules if m.startswith('cantordyn.')])\n"
+        "import cantordyn.cli\n"
+        "print('cantordyn.synth' in sys.modules)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=20,
+    )
+    assert r.stdout == "[]\nFalse\n", r.stderr

@@ -26,7 +26,7 @@ from cantordyn.docformat import (
     parse,
     print_document,
 )
-from cantordyn.cli import random_document
+from cantordyn.gen import random_document
 
 SIG = DYADIC
 

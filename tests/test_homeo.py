@@ -24,8 +24,9 @@ from cantordyn.homeo import (
     weak_distance,
 )
 from cantordyn.synth import restrict_fragment, truncation
+from cantordyn.gen import random_clopen, random_homeo
 
-from conftest import SIGS, mask, random_clopen, random_homeo
+from conftest import SIGS, mask
 
 SWAP = PrefixMap.tree_pair(DYADIC, [((0,), (1,)), ((1,), (0,))])
 DISS = PrefixMap.tree_pair(

@@ -13,8 +13,9 @@ from cantordyn.measure import (
     point_mass,
 )
 from cantordyn.homeo import PrefixMap, difference_set
+from cantordyn.gen import random_clopen
 
-from conftest import SIGS, random_clopen
+from conftest import SIGS
 
 
 @pytest.mark.parametrize("sig", SIGS)

@@ -15,8 +15,9 @@ from cantordyn.space import (
     partition_at_depth,
     point_distance,
 )
+from cantordyn.gen import random_clopen
 
-from conftest import SIGS, mask, random_clopen
+from conftest import SIGS, mask
 
 
 def test_signature_levels_and_counts():

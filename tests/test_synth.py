@@ -35,8 +35,9 @@ from cantordyn.synth import (
     rokhlin_castle,
     truncation,
 )
+from cantordyn.gen import random_homeo, random_partition
 
-from conftest import SIGS, mask, random_homeo, random_partition
+from conftest import SIGS, mask
 
 SIG = DYADIC
 SWAP = PrefixMap.tree_pair(SIG, [((0,), (1,)), ((1,), (0,))])
@@ -228,7 +229,7 @@ def test_separated_base_separates_and_covers(k, n):
     depths = [d for d in range(1, 7) if _separated_cover_exists(Tm, n, d)]
     assert depths
     for depth in depths:
-        B = _separated_base(Tm, n, depth)
+        B = _separated_base(Tm, Tm.inverse(), n, depth)
         assert all(len(w) <= depth for w in B.words)
         size = 2**depth
         base = {_dyadic_value(w) for w in mask(B, depth)}
@@ -254,7 +255,7 @@ def test_separated_base_separates_and_covers(k, n):
 def test_separated_base_steps_its_powers(sig, n, compositions):
     """T^1 ... T^(n-1) and T^-1 ... T^-(n-1) cost one composition each."""
     Tm = as_prefix_map(Odometer(sig, 1))
-    _separated_base(Tm, n, 4)
+    _separated_base(Tm, Tm.inverse(), n, 4)
     assert len(compositions) <= 2 * (n - 1)
 
 
@@ -265,25 +266,36 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
     """The castle over T^-K of the tops, found without any power call, is the
     one chosen from the powers directly, the larger K winning ties."""
     Tm = as_prefix_map(Odometer(sig, k))
+    Tinv = Tm.inverse()
     measures = [ProductMeasure.uniform(sig)]
     depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, n, d))
-    towers0 = _first_return_towers(Tm, _separated_base(Tm, n, depth), cap=2 * n)
+    B0 = _separated_base(Tm, Tinv, n, depth)
+    towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
     V = Clopen.empty(sig)
     for _, _, levels in towers0:
         V = V | levels[-1]
     candidates = []
     for K in range(n):
         B = Tm.power(-K).image(V)
-        candidates.append((min(_covered_bounds(Tm, B, n, measures)), K, B))
+        candidates.append((min(_covered_bounds(Tinv, B, n, measures)), K, B))
     _, _, expected = max(candidates, key=lambda c: c[:2])
 
     def no_power(self, n):
         raise AssertionError("power called")
 
     monkeypatch.setattr(PrefixMap, "power", no_power)
-    B, bounds = _shifted_top_castle(Tm, towers0, n, measures)
+    B, bounds = _shifted_top_castle(Tinv, towers0, n, measures)
     assert B == expected
-    assert bounds == _covered_bounds(Tm, B, n, measures)
+    assert bounds == _covered_bounds(Tinv, B, n, measures)
+
+
+@pytest.mark.parametrize("sig", SIGS[:2])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_rokhlin_castle_inverts_once(sig, n, inversions):
+    for eps in (Fraction(1, 4), Fraction(1, 8)):
+        inversions.clear()
+        rokhlin_castle(Odometer(sig, 1), n, [ProductMeasure.uniform(sig)], eps)
+        assert len(inversions) <= 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

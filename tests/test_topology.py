@@ -26,8 +26,7 @@ from cantordyn.topology import (
     weak_distance_interval,
 )
 from cantordyn.synth import truncation
-
-from conftest import random_homeo
+from cantordyn.gen import random_homeo
 
 SIG = DYADIC
 SWAP = PrefixMap.tree_pair(SIG, [((0,), (1,)), ((1,), (0,))])
@@ -75,6 +74,18 @@ def test_barp_membership():
     n = BarPNeighborhood(IDENT, (F,), (UNI,), Fraction(1, 2))
     assert not in_neighborhood(SWAP, n).ok
     assert in_neighborhood(IDENT, n).ok
+
+
+def test_tower_interval_inverts_once(inversions):
+    t = TowerSystem.from_cycle(
+        [Clopen.cylinder(SIG, (0,)), Clopen.cylinder(SIG, (1,))]
+    )
+    t.ensure_levels(4)
+    assert len(t.levels[-1]) == 16
+    for other in (SWAP, Odometer(SIG, 1)):
+        inversions.clear()
+        weak_distance_interval(t, other)
+        assert len(inversions) <= 1
 
 
 def test_weak_interval_and_indeterminate():
