@@ -127,6 +127,32 @@ def test_synth_rank1(capsys):
     assert code == 0 and "mass_0 0" in out
 
 
+def test_rokhlin(capsys):
+    code, out, _ = run(
+        capsys,
+        "rokhlin",
+        "--target", "odometer:dyadic",
+        "--n", "2",
+        "--measure", "uniform",
+        "--epsilon", "1/4",
+    )
+    assert code == 0
+    assert "castle dyadic towers[({0}, 2)] base {0} bound [1]" in out
+    assert "bound 1 > 3/4" in out
+
+
+def test_graph_dot(capsys):
+    code, out, _ = run(
+        capsys,
+        "graph-dot",
+        "--target", "odometer:dyadic",
+        "--partition", "{0},{1}",
+    )
+    assert code == 0
+    assert out.startswith("digraph")
+    assert "v0 -> v1" in out and "v1 -> v0" in out
+
+
 def test_measure_command(capsys):
     code, out, _ = run(capsys, "measure", "uniform", "clopen dyadic {01}")
     assert code == 0 and out == "1/4\n"
@@ -147,6 +173,18 @@ def test_gen_is_seeded_and_canonical(capsys):
     lines = [ln for ln in out1.splitlines() if ln and ln != "cdyn 1"]
     for ln in lines:
         parse(ln)
+
+
+def test_json_format(capsys):
+    code, out, _ = run(capsys, "dist", "id", "swap", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"value": "2"}]
+    code, out, _ = run(
+        capsys, "compose", "swap", "swap", "--format", "json"
+    )
+    payload = json.loads(out)
+    assert payload[0]["kind"] == "homeo"
+    assert payload[0]["homeo"] == "tree-pair dyadic {e->e}"
 
 
 def test_errors_exit_one(capsys):
