@@ -358,6 +358,8 @@ def cmd_measure(args, out):
 
 
 def cmd_gen(args, out):
+    if args.count < 0:
+        raise CliError(f"--count must not be negative, got {args.count}")
     rng = random.Random(args.seed)
     for i in range(args.count):
         out.doc(random_document(rng, args.kind))

@@ -14,6 +14,12 @@ PrefixMap.after and inverse are built on them.  Every PrefixMap that make,
 after, inverse, power, identity or Odometer.as_map returns is canonical as
 built (no complete sibling family of branches is left unmerged), so
 equality and hashing are those of the (sig, branches) tuple, as for Clopen.
+
+A map is synchronous when every branch has |u| = |v|; odometers and
+tree pairs that permute the cylinders of one depth are.  Once d reaches the
+domain depth, a synchronous map permutes the depth-d cylinders, and
+PrefixMap.cycles(d) returns the cycles of that permutation, or None for a
+map that is not synchronous.
 """
 
 from __future__ import annotations
@@ -182,6 +188,31 @@ class PrefixMap:
         if depth < self.max_domain_depth():
             raise ValueError("depth above an existing branch")
         return self.refined_to(self.sig.words(depth))
+
+    def cycles(self, depth):
+        """Cycles of the permutation of the depth-d cylinders, as word lists.
+
+        Each cycle starts at its least word, w_{i+1} is the image word of
+        w_i, and the cycles come in the order of their first words.  None
+        below the domain depth, and None when some refined branch changes
+        word length, which means the map is not synchronous.
+        """
+        if depth < self.max_domain_depth():
+            return None
+        succ = {}
+        for u, v, _ in self.table(depth):
+            if len(v) != depth:
+                return None
+            succ[u] = v
+        out = []
+        for w in self.sig.words(depth):
+            if w in succ:
+                cycle = []
+                while w in succ:
+                    cycle.append(w)
+                    w = succ.pop(w)
+                out.append(cycle)
+        return out
 
     # -- action ------------------------------------------------------------
 
@@ -492,6 +523,8 @@ def fixed_points(T):
 
 def period_structure(T, max_power):
     """Exact-period clopen parts and isolated periodic points up to a bound."""
+    if max_power < 1:
+        raise ValueError(f"bound must be positive, got {max_power}")
     m = as_prefix_map(T)
     sig = m.sig
     fix = {}

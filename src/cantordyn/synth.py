@@ -561,10 +561,26 @@ class Castle:
         return [lvl for _, _, levels in self.towers for lvl in levels]
 
 
-def _separated_base(Tm, Tinv, n, depth):
+def _separated_base(Tm, Tinv, n, depth, cycles=None):
     """Greedy clopen set built from depth-d cylinders, visiting each orbit
-    with gaps in [n, 2n-1]."""
+    with gaps in [n, 2n-1].
+
+    Given the depth-d cycles of T (PrefixMap.cycles), T^j moves each
+    cylinder to the word j places on along its cycle, so the pass runs on
+    cycle positions and composes nothing.
+    """
     sig = Tm.sig
+    if cycles is not None:
+        where = {w: (cycle, i) for cycle in cycles for i, w in enumerate(cycle)}
+        base = []
+        blocked = set()  # words T^j(w), |j| < n, of the base words w so far
+        for w in sig.words(depth):
+            if w not in blocked:
+                base.append(w)
+                cycle, i = where[w]
+                m = len(cycle)
+                blocked.update(cycle[(i + j) % m] for j in range(1 - n, n))
+        return Clopen.make(sig, base)
     powers = _powers(Tm, n - 1) + _powers(Tinv, n - 1)
     B = Clopen.empty(sig)
     # union of T^j(B), 0 < |j| < n; a homeomorphism maps a union to the
@@ -606,12 +622,16 @@ def _covered_bounds(Tinv, B, n, measures):
     return [measure_of(mu, covered) for mu in measures]
 
 
-def _separated_cover_exists(Tm, sep, depth):
+def _separated_cover_exists(Tm, sep, depth, cycles=None):
     """True when no depth-d cylinder meets its image under T^j, 0 < j < sep.
 
-    Powers are composed one step at a time, only as far as the loop gets
-    before the first intersecting cylinder.
+    Given the depth-d cycles of T (PrefixMap.cycles), that is: every cycle
+    has length at least sep.  Otherwise powers are composed one step at a
+    time, only as far as the loop gets before the first intersecting
+    cylinder.
     """
+    if cycles is not None:
+        return min(map(len, cycles)) >= sep
     sig = Tm.sig
     powers = [Tm]  # powers[j - 1] is T^j
     for w in sig.words(depth):
@@ -675,9 +695,13 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
     towers over a base separated by exactly n and shifts the tops; if the
     exact bound falls short, a second pass separates by a multiple of n
     large enough that slicing into height-n blocks provably leaves less
-    than epsilon uncovered for some absorber position.  Fails with
+    than epsilon uncovered for some absorber position.  When T permutes
+    the depth-d cylinders (PrefixMap.cycles), their cycles decide the cover
+    and place the separated base without composing powers of T.  Fails with
     diagnostics at the cap.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     Tm = as_prefix_map(T)
     epsilon = _positive(epsilon)
     bound_n = period_bound if period_bound is not None else n
@@ -693,16 +717,17 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
     Tinv = Tm.inverse()
     last_diag = None
     for depth in range(1, depth_cap + 1):
+        cycles = Tm.cycles(depth)
         candidates = []
-        if _separated_cover_exists(Tm, n, depth):
-            B0 = _separated_base(Tm, Tinv, n, depth)
+        if _separated_cover_exists(Tm, n, depth, cycles):
+            B0 = _separated_base(Tm, Tinv, n, depth, cycles)
             towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
             if towers0 is not None:
                 B, bounds = _shifted_top_castle(Tinv, towers0, n, measures)
                 candidates.append((B, bounds))
         sep = slices * n
-        if sep > n and _separated_cover_exists(Tm, sep, depth):
-            B0 = _separated_base(Tm, Tinv, sep, depth)
+        if sep > n and _separated_cover_exists(Tm, sep, depth, cycles):
+            B0 = _separated_base(Tm, Tinv, sep, depth, cycles)
             towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
             if towers0 is not None:
                 towers, B, bounds = _sliced_castle(Tinv, towers0, n, measures)

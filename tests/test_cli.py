@@ -253,6 +253,29 @@ def test_bad_synth_input_exits_one_without_traceback(argv, reason):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (ROKHLIN[:3] + ["--n", "0", "--measure", "uniform", "--epsilon", "1/4"],
+         "n must be positive, got 0"),
+        (["periods", "swap", "--bound", "0"], "bound must be positive, got 0"),
+        (["gen", "--count", "-1"], "--count must not be negative, got -1"),
+    ],
+)
+def test_bad_bound_exits_one_without_traceback(argv, reason):
+    """A height, power bound or count below its least value is refused
+    before any work, with nothing on stdout."""
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordyn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=20,
+    )
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: {reason}\n"
+
+
 def test_imports_load_only_what_they_use():
     code = (
         "import sys, cantordyn\n"

@@ -163,6 +163,12 @@ def test_period_structure():
     assert info["exact_period_parts"][4] == Clopen.full(sig)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_period_structure_refuses_nonpositive_bound(bound):
+    with pytest.raises(ValueError, match=f"bound must be positive, got {bound}"):
+        period_structure(SWAP, bound)
+
+
 def test_full_group_membership():
     sig = DYADIC
     T = Odometer(sig, 1)
@@ -372,3 +378,60 @@ def test_compose_branches_on_partial_fragments(sig):
         Tinv = T.inverse()
         for v, u, _ in invert_branches(first):
             assert Tinv.image(Clopen.cylinder(sig, v)) == Clopen.cylinder(sig, u)
+
+
+# -- cylinder cycles ------------------------------------------------------------
+
+
+def _mask_orbits(S, depth):
+    """Orbits of the depth-d words under S, each followed through the word
+    mask of the image of its cylinder; None when some image is not one
+    depth-d cylinder."""
+    sig = S.sig
+    seen = set()
+    out = []
+    for w in sig.words(depth):
+        if w in seen:
+            continue
+        cycle = []
+        while w not in seen:
+            seen.add(w)
+            cycle.append(w)
+            img = mask(S.image(Clopen.make(sig, [w])), depth)
+            if len(img) != 1 or len(min(img)) != depth:
+                return None
+            (w,) = img
+        assert w == cycle[0]
+        out.append(cycle)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps, st.integers(0, 5))
+def test_cycles_are_the_mask_orbits(drawn, depth):
+    sig, rng = drawn
+    S = random_homeo(rng, sig)
+    if depth < S.max_domain_depth():
+        assert S.cycles(depth) is None
+    else:
+        assert S.cycles(depth) == _mask_orbits(S, depth)
+
+
+@pytest.mark.parametrize("sig", SIGS)
+@pytest.mark.parametrize("k", [1, -1, 2, 3])
+def test_odometer_cycles(sig, k):
+    """The shift by k moves the word of index i to index i + k, so each
+    depth-d cycle is a coset of the subgroup generated by k."""
+    S = as_prefix_map(Odometer(sig, k))
+    for depth in range(5):
+        cycles = S.cycles(depth)
+        assert cycles == _mask_orbits(S, depth)
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert sig.index(b) == (sig.index(a) + k) % sig.num_words(depth)
+
+
+def test_cycles_of_a_map_that_changes_word_length():
+    for depth in range(1, 7):
+        assert DISS.cycles(depth) is None
+        assert _mask_orbits(DISS, depth) is None

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordyn.space import DYADIC, Clopen, Signature, is_partition, partition_at_depth
 from cantordyn.measure import Dirac, Mixture, ProductMeasure, measure_of, open_diff_mass
@@ -259,6 +260,44 @@ def test_separated_base_steps_its_powers(sig, n, compositions):
     assert len(compositions) <= 2 * (n - 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(SIGS),
+    st.sampled_from([None, 1, -1, 2, -2, 3, -3]),
+    st.randoms(use_true_random=False),
+    st.integers(2, 5),
+    st.integers(1, 6),
+)
+def test_cycle_path_matches_composition_path(sig, k, rng, n, depth):
+    """On a synchronous map (an odometer shift, or a random_homeo map when k
+    is None) the depth-d cycles give the cover answer and the base that
+    composing powers of T gives."""
+    Tm = random_homeo(rng, sig) if k is None else as_prefix_map(Odometer(sig, k))
+    Tinv = Tm.inverse()
+    depth = max(depth, Tm.max_domain_depth())
+    cycles = Tm.cycles(depth)
+    assert cycles is not None
+    assert _separated_cover_exists(Tm, n, depth, cycles) == _separated_cover_exists(
+        Tm, n, depth, None
+    )
+    assert _separated_base(Tm, Tinv, n, depth, cycles) == _separated_base(
+        Tm, Tinv, n, depth, None
+    )
+
+
+@pytest.mark.parametrize("sig", SIGS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_cycle_path_composes_nothing(sig, k, compositions):
+    Tm = as_prefix_map(Odometer(sig, k))
+    Tinv = Tm.inverse()
+    for depth in range(1, 7):
+        cycles = Tm.cycles(depth)
+        for n in (2, 5, 18):
+            if _separated_cover_exists(Tm, n, depth, cycles):
+                _separated_base(Tm, Tinv, n, depth, cycles)
+    assert compositions == []
+
+
 @pytest.mark.parametrize("sig", SIGS)
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -316,6 +355,49 @@ def test_rokhlin_castle_invariants(n, eps):
         assert levels[0] == base
         for j in range(1, h):
             assert levels[j] == Tm.power(j).image(base)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 8)])
+def test_rokhlin_castle_of_a_map_that_is_not_synchronous(n, eps):
+    """The odometer conjugated by the uneven tree pair DISS sends some
+    cylinder of every depth onto a set that is not one cylinder of that
+    depth, so the search composes powers.  The castle is checked through
+    DISS^-1, the odometer and DISS one at a time, never through T."""
+    pinv = PrefixMap.tree_pair(SIG, [((0, 0), (0,)), ((0, 1), (1, 0)), ((1,), (1, 1))])
+    fwd, back = as_prefix_map(OD), as_prefix_map(Odometer(SIG, -1))
+    T = DISS.after(fwd).after(DISS.inverse())
+    assert all(T.cycles(d) is None for d in range(1, 13))
+    castle = rokhlin_castle(T, n, [UNI], eps)
+
+    def image(A, od=fwd):
+        return DISS.image(od.image(pinv.image(A)))
+
+    levels = castle.all_levels()
+    depth = max(len(w) for lvl in levels for w in lvl.words)
+    masks = [mask(lvl, depth) for lvl in levels]
+    assert sum(map(len, masks)) == len(frozenset().union(*masks)) == 2**depth
+    tops = Clopen.empty(SIG)
+    for base, h, tower in castle.towers:
+        assert h >= n and len(tower) == h and tower[0] == base
+        for a, b in zip(tower, tower[1:]):
+            assert image(a) == b
+        tops = tops | tower[-1]
+    assert image(tops) == castle.base
+    covered = Clopen.empty(SIG)
+    cur = castle.base
+    for _ in range(n):
+        covered = covered | cur
+        cur = image(cur, back)
+    assert castle.bound == [measure_of(UNI, covered)]
+    assert castle.bound[0] > 1 - eps
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rokhlin_castle_refuses_nonpositive_height(n, compositions, inversions):
+    with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+        rokhlin_castle(OD, n, [UNI], Fraction(1, 4))
+    assert compositions == [] and inversions == []
 
 
 def test_rokhlin_castle_mixture_measure():
