@@ -123,7 +123,7 @@ class Out:
     def emit(self):
         if self.json:
             sys.stdout.write(json.dumps(self.items, sort_keys=True, indent=2) + "\n")
-        else:
+        elif self.items:
             sys.stdout.write("\n".join(self.items) + "\n")
 
 

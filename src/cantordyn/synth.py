@@ -616,12 +616,6 @@ def _first_return_towers(Tm, Tinv, B, cap):
     return towers
 
 
-def _covered_bounds(Tinv, B, n, measures):
-    """Measures of the union of T^-j(B), 0 <= j < n."""
-    covered = orbit_of(Tinv, B, n)
-    return [measure_of(mu, covered) for mu in measures]
-
-
 def _separated_cover_exists(Tm, sep, depth, cycles=None):
     """True when no depth-d cylinder meets its image under T^j, 0 < j < sep.
 
@@ -646,46 +640,64 @@ def _separated_cover_exists(Tm, sep, depth, cycles=None):
 
 def _shifted_top_castle(Tinv, towers0, n, measures):
     """Best castle over T^-K of the tops, K in [0, n), preferring the deepest
-    pullback on ties."""
-    V = Clopen.empty(Tinv.sig)
-    for _, _, levels in towers0:
-        V = V | levels[-1]
+    pullback on ties.
+
+    The cover of T^-K of the tops is the union of T^-j of the tops for
+    K <= j < K + n, so each cover after the first is T^-1 of the one before.
+    """
+    sig = Tinv.sig
+    V = Clopen.make(sig, [w for _, _, levels in towers0 for w in levels[-1].words])
+    pullbacks = list(_iterates(Tinv, V, n))
+    cover = Clopen.make(sig, [w for B in pullbacks for w in B.words])
     best = None
-    for K, B in enumerate(_iterates(Tinv, V, n)):
-        bounds = _covered_bounds(Tinv, B, n, measures)
+    for K, (B, covered) in enumerate(zip(pullbacks, _iterates(Tinv, cover, n))):
+        bounds = [measure_of(mu, covered) for mu in measures]
         if best is None or (min(bounds), K) > (min(best[1]), best[2]):
             best = (B, bounds, K)
     B, bounds, _ = best
     return B, bounds
 
 
-def _sliced_castle(Tinv, towers0, n, measures):
+def _sliced_castle(towers0, n, measures):
     """Slice tall return towers into height-n blocks, one block per tower
     absorbing the height remainder.  The candidate leftover sets for the
     different absorber positions are pairwise disjoint, so when there are
     more than (number of measures)/epsilon candidates one of them must
     leave less than epsilon uncovered.
+
+    The bounds come from level masses, exactly.  The levels of the return
+    towers partition the space, because the separated base meets every
+    orbit.  A point on level l >= 1 of a block of length L first meets a
+    block base L - l steps on (the top of a tower goes to a tower base), so
+    the points whose next visit to the base B is n or more steps on are
+    those on levels 1..r of each tower's absorber block, r = h mod n.  For absorber position
+    b*, with a0 = min(b*, h // n - 1) * n in a tower of height h,
+
+        mu(union of T^-j B, j < n) = mu(space) - sum of mu(levels a0+1..a0+r).
     """
-    q = min(h // n for _, h, _ in towers0)
+    sig = towers0[0][0].sig
+    total = [measure_of(mu, Clopen.full(sig)) for mu in measures]
+    leftover = {}  # (tower, a0) -> masses of levels a0+1..a0+r
     best = None
-    for bstar in range(q):
-        towers = []
-        for _, h, levels in towers0:
-            blocks = h // n
-            r = h % n
-            absorber = min(bstar, blocks - 1)
-            start = 0
-            for b in range(blocks):
-                blk = n + (r if b == absorber else 0)
-                towers.append((levels[start], blk, levels[start : start + blk]))
-                start += blk
-        B = Clopen.empty(Tinv.sig)
-        for base, _, _ in towers:
-            B = B | base
-        bounds = _covered_bounds(Tinv, B, n, measures)
-        if best is None or min(bounds) > min(best[2]):
-            best = (towers, B, bounds)
-    return best
+    for bstar in range(min(h // n for _, h, _ in towers0)):
+        bounds = total
+        for t, (_, h, levels) in enumerate(towers0):
+            a0 = min(bstar, h // n - 1) * n
+            if (t, a0) not in leftover:
+                rest = levels[a0 + 1 : a0 + 1 + h % n]
+                leftover[t, a0] = [
+                    sum(measure_of(mu, lvl) for lvl in rest) for mu in measures
+                ]
+            bounds = [b - m for b, m in zip(bounds, leftover[t, a0])]
+        if best is None or min(bounds) > min(best[1]):
+            best = (bstar, bounds)
+    bstar, bounds = best
+    words = []
+    for _, h, levels in towers0:
+        absorber = min(bstar, h // n - 1)
+        for b in range(h // n):
+            words += levels[b * n + (h % n if b > absorber else 0)].words
+    return Clopen.make(sig, words), bounds
 
 
 def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
@@ -699,6 +711,11 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
     the depth-d cylinders (PrefixMap.cycles), their cycles decide the cover
     and place the separated base without composing powers of T.  Fails with
     diagnostics at the cap.
+
+    The sliced bounds need no image: the return towers' levels partition
+    the space, because the separated base meets every orbit, so
+    mu(union of T^-j B, j < n) is mu(space) minus the masses of the levels
+    whose next block base is n or more steps on (see _sliced_castle).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -730,7 +747,7 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
             B0 = _separated_base(Tm, Tinv, sep, depth, cycles)
             towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
             if towers0 is not None:
-                towers, B, bounds = _sliced_castle(Tinv, towers0, n, measures)
+                B, bounds = _sliced_castle(towers0, n, measures)
                 candidates.append((B, bounds))
         if not candidates:
             last_diag = f"no separated cover at depth {depth}"

@@ -63,3 +63,9 @@ def compositions(monkeypatch):
 def inversions(monkeypatch):
     """Records one entry per PrefixMap.inverse call made during the test."""
     return _counted(monkeypatch, "inverse")
+
+
+@pytest.fixture
+def images(monkeypatch):
+    """Records one entry per PrefixMap.image call made during the test."""
+    return _counted(monkeypatch, "image")

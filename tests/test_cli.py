@@ -175,6 +175,13 @@ def test_gen_is_seeded_and_canonical(capsys):
         parse(ln)
 
 
+def test_gen_of_nothing_prints_nothing(capsys):
+    code, out, err = run(capsys, "gen", "--count", "0")
+    assert (code, out, err) == (0, "", "")
+    code, out, _ = run(capsys, "gen", "--count", "0", "--format", "json")
+    assert code == 0 and json.loads(out) == []
+
+
 def test_json_format(capsys):
     code, out, _ = run(capsys, "dist", "id", "swap", "--format", "json")
     assert code == 0

@@ -17,11 +17,12 @@ from cantordyn.homeo import (
     weak_distance,
 )
 from cantordyn.synth import (
-    _covered_bounds,
     _first_return_towers,
+    _iterates,
     _separated_base,
     _separated_cover_exists,
     _shifted_top_castle,
+    _sliced_castle,
     aperiodize_periodic,
     canonical_clopen_homeo,
     euler_circuit,
@@ -29,6 +30,7 @@ from cantordyn.synth import (
     fundamental_domain,
     minimal_circulation,
     odometer_in_weak_neighborhood,
+    orbit_of,
     overlap_graph,
     periodic_approx_odometer,
     periodic_in_weak_neighborhood,
@@ -36,7 +38,7 @@ from cantordyn.synth import (
     rokhlin_castle,
     truncation,
 )
-from cantordyn.gen import random_homeo, random_partition
+from cantordyn.gen import random_homeo, random_partition, random_point
 
 from conftest import SIGS, mask
 
@@ -313,10 +315,14 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
     V = Clopen.empty(sig)
     for _, _, levels in towers0:
         V = V | levels[-1]
+
+    def covered_bounds(B):
+        return [measure_of(mu, orbit_of(Tinv, B, n)) for mu in measures]
+
     candidates = []
     for K in range(n):
         B = Tm.power(-K).image(V)
-        candidates.append((min(_covered_bounds(Tinv, B, n, measures)), K, B))
+        candidates.append((min(covered_bounds(B)), K, B))
     _, _, expected = max(candidates, key=lambda c: c[:2])
 
     def no_power(self, n):
@@ -325,7 +331,113 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
     monkeypatch.setattr(PrefixMap, "power", no_power)
     B, bounds = _shifted_top_castle(Tinv, towers0, n, measures)
     assert B == expected
-    assert bounds == _covered_bounds(Tinv, B, n, measures)
+    assert bounds == covered_bounds(B)
+
+
+def _skew(sig):
+    """Product measure giving digit i of a level of size m the weight
+    2(i+1)/(m(m+1)): 1/3 and 2/3 on a level of size 2."""
+
+    def row(t):
+        m = sig.level(t)
+        return [Fraction(2 * (i + 1), m * (m + 1)) for i in range(m)]
+
+    pre = len(sig.preperiod)
+    return ProductMeasure.make(
+        sig, [row(t) for t in range(pre)], [row(pre + t) for t in range(len(sig.period))]
+    )
+
+
+def _castle_measure(kind, sig, rng):
+    uni = ProductMeasure.uniform(sig)
+    if kind == "uniform":
+        return uni
+    if kind == "skew":
+        return _skew(sig)
+    return Mixture.make(
+        sig, [(Fraction(3, 4), uni), (Fraction(1, 4), Dirac(sig, random_point(rng, sig)))]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SIGS),
+    st.sampled_from([1, -1, 3, -3, None, "tree pair"]),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(["uniform", "skew", "atom"]), min_size=1, max_size=2),
+    st.integers(2, 4),
+    st.integers(1, 3),
+)
+def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slices):
+    """The shifted-top and sliced passes give the base and the bounds that
+    measuring the union of T^-j(B), j < n, of every candidate base gives.
+    The maps are odometer shifts, random_homeo maps (k None) and the
+    odometer conjugated by the uneven tree pair DISS, which is not
+    synchronous."""
+    if k == "tree pair":
+        sig, Tm = SIG, DISS.after(as_prefix_map(OD)).after(DISS.inverse())
+    elif k is None:
+        Tm = random_homeo(rng, sig)
+    else:
+        Tm = as_prefix_map(Odometer(sig, k))
+    measures = [_castle_measure(kind, sig, rng) for kind in kinds]
+    Tinv = Tm.inverse()
+    sep = slices * n
+    depth = next(
+        (d for d in range(1, 7) if _separated_cover_exists(Tm, sep, d, Tm.cycles(d))),
+        None,
+    )
+    if depth is None:  # a periodic random_homeo map
+        return
+    B0 = _separated_base(Tm, Tinv, sep, depth, Tm.cycles(depth))
+    towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
+
+    def covered_bounds(B):
+        return [measure_of(mu, orbit_of(Tinv, B, n)) for mu in measures]
+
+    # T^-K of the tops, K < n; the larger K wins ties
+    V = Clopen.empty(sig)
+    for _, _, levels in towers0:
+        V = V | levels[-1]
+    shifted = [
+        (min(covered_bounds(B)), K, B) for K, B in enumerate(_iterates(Tinv, V, n))
+    ]
+    _, _, B = max(shifted, key=lambda c: c[:2])
+    assert _shifted_top_castle(Tinv, towers0, n, measures) == (B, covered_bounds(B))
+    # height-n blocks with the remainder on block b*; the first b* wins ties
+    sliced = []
+    for bstar in range(min(h // n for _, h, _ in towers0)):
+        B = Clopen.empty(sig)
+        for _, h, levels in towers0:
+            blocks, r = divmod(h, n)
+            start = 0
+            for b in range(blocks):
+                B = B | levels[start]
+                start += n + (r if b == min(bstar, blocks - 1) else 0)
+        sliced.append(B)
+    B = max(sliced, key=lambda B: min(covered_bounds(B)))
+    assert _sliced_castle(towers0, n, measures) == (B, covered_bounds(B))
+
+
+@pytest.mark.parametrize("sig", SIGS)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_castle_passes_image_little(sig, k, n, images):
+    """The sliced pass reads its bounds off the tower levels and images
+    nothing; the shifted-top pass steps the tops and their cover back once
+    per K."""
+    Tm = as_prefix_map(Odometer(sig, k))
+    Tinv = Tm.inverse()
+    measures = [ProductMeasure.uniform(sig), _skew(sig)]
+    for sep in (n, 3 * n):
+        depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
+        B0 = _separated_base(Tm, Tinv, sep, depth)
+        towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
+        images.clear()
+        _sliced_castle(towers0, n, measures)
+        assert images == []
+        _shifted_top_castle(Tinv, towers0, n, measures)
+        assert len(images) <= 2 * (n - 1)
 
 
 @pytest.mark.parametrize("sig", SIGS[:2])
