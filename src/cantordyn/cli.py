@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .space import DYADIC
+from .space import DYADIC, word_text
 from .measure import ProductMeasure, measure_of
 from .homeo import (
     Odometer,
@@ -201,7 +201,7 @@ def cmd_tabulate(args, out):
     sig = T.sig
     for u, v, c in sorted(T.table(args.depth)):
         tail = f"+{c}" if c > 0 else (str(c) if c < 0 else "")
-        out.text(f"{df.word_text(sig, u)} -> {df.word_text(sig, v)}{tail}")
+        out.text(f"{word_text(sig, u)} -> {word_text(sig, v)}{tail}")
     return 0
 
 

@@ -11,9 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .space import DYADIC, Clopen, Point, Signature, is_prefix
+from .space import (
+    DYADIC,
+    Clopen,
+    Point,
+    Signature,
+    is_prefix,
+    point_text,
+    word_text,
+    wordset_text,
+)
 from .measure import Dirac, Mixture, ProductMeasure
-from .homeo import Odometer, PrefixMap
+from .homeo import Odometer, PrefixMap, branches_text
 from .topology import (
     BarPNeighborhood,
     PNeighborhood,
@@ -68,19 +77,7 @@ class DocumentError(ValueError):
         super().__init__(message + where)
 
 
-# -- word and number rendering ---------------------------------------------------
-
-
-def _plain_digits(sig):
-    return all(x <= 10 for x in sig.preperiod + sig.period)
-
-
-def word_text(sig, w):
-    if not w:
-        return "e"
-    if _plain_digits(sig):
-        return "".join(str(d) for d in w)
-    return ".".join(str(d) for d in w)
+# -- rendering (words, sets and points: space.word_text and friends) ---------------
 
 
 def sig_text(sig):
@@ -91,18 +88,15 @@ def sig_text(sig):
     return f"base({pre};{per})"
 
 
-def wordset_text(sig, A):
-    return "{" + ", ".join(word_text(sig, w) for w in A.words) + "}"
-
-
-def point_text(sig, x):
-    return word_text(sig, x.head).replace("e", "") + f"({word_text(sig, x.cycle)})"
+def _all_rows_uniform(mu):
+    rows = mu.preweights + mu.cycleweights
+    return all(x * len(row) == 1 for row in rows for x in row)
 
 
 def measure_text(mu):
     sig = mu.sig
     if isinstance(mu, ProductMeasure):
-        if mu == ProductMeasure.uniform(sig):
+        if _all_rows_uniform(mu):
             return "uniform"
         pre = ";".join(",".join(str(x) for x in row) for row in mu.preweights)
         cyc = ";".join(",".join(str(x) for x in row) for row in mu.cycleweights)
@@ -118,17 +112,8 @@ def measure_text(mu):
 def homeo_text(h):
     if isinstance(h, Odometer):
         return f"odometer {sig_text(h.sig)} {h.shift}"
-    sig = h.sig
-    if h.is_tree_pair:
-        body = ", ".join(
-            f"{word_text(sig, u)}->{word_text(sig, v)}" for u, v, _ in h.branches
-        )
-        return f"tree-pair {sig_text(sig)} {{{body}}}"
-    parts = []
-    for u, v, c in h.branches:
-        tail = f"+{c}" if c > 0 else (str(c) if c < 0 else "")
-        parts.append(f"{word_text(sig, u)}->{word_text(sig, v)}{tail}")
-    return f"shift-pair {sig_text(sig)} {{{', '.join(parts)}}}"
+    kind = "tree-pair" if h.is_tree_pair else "shift-pair"
+    return f"{kind} {sig_text(h.sig)} {{{branches_text(h.sig, h.branches)}}}"
 
 
 def _body_text(doc):
@@ -418,9 +403,12 @@ class _Parser:
             cyc = self._weight_rows("]")
             self.lit("]")
             try:
-                return ProductMeasure.make(sig, pre, cyc)
+                mu = ProductMeasure.make(sig, pre, cyc)
             except ValueError as e:
                 self.error(str(e))
+            if _all_rows_uniform(mu):
+                self.error("not canonical: product-is-uniform")
+            return mu
         if self.try_lit("dirac"):
             return Dirac(sig, self.point(sig))
         if self.try_lit("mix("):

@@ -34,7 +34,10 @@ from .space import (
     canonical_words,
     is_prefix,
     lcp_len,
+    point_text,
     point_with_prefix,
+    word_text,
+    wordset_text,
 )
 
 
@@ -168,26 +171,20 @@ class PrefixMap:
             if is_prefix(u, w) or is_prefix(w, u):
                 yield (u, v, c)
 
-    def refined_to(self, words):
-        """Branches restricted to a finer domain cylinder partition."""
-        out = []
-        for w in words:
-            for u, v, c in self._branch_for(w):
-                if is_prefix(u, w):
-                    out.append(refine_branch(self.sig, (u, v, c), w))
-                else:
-                    # w above the branch: keep the branch itself
-                    out.append((u, v, c))
-        return sorted(set(out))
-
     def max_domain_depth(self):
         return max((len(u) for u, _, _ in self.branches), default=0)
 
     def table(self, depth):
-        """Branches refined so every domain word has the given depth."""
+        """Branches refined so every domain word has the given depth.
+
+        At or below the domain depth each word lies under exactly one branch.
+        """
         if depth < self.max_domain_depth():
             raise ValueError("depth above an existing branch")
-        return self.refined_to(self.sig.words(depth))
+        sig = self.sig
+        return [
+            refine_branch(sig, next(self._branch_for(w)), w) for w in sig.words(depth)
+        ]
 
     def cycles(self, depth):
         """Cycles of the permutation of the depth-d cylinders, as word lists.
@@ -273,19 +270,16 @@ class PrefixMap:
     def is_identity(self):
         return self.branches == (((), (), 0),)
 
-    def pretty(self):
-        from .space import format_word
-
-        parts = []
-        for u, v, c in self.branches:
-            s = f"{format_word(self.sig, u)}->{format_word(self.sig, v)}"
-            if c:
-                s += f"{c:+d}"
-            parts.append(s)
-        return "{" + ", ".join(parts) + "}"
-
     def __repr__(self):
-        return f"PrefixMap{self.pretty()}"
+        return f"PrefixMap{{{branches_text(self.sig, self.branches)}}}"
+
+
+def branches_text(sig, branches):
+    """Branches u->v+c in document notation, comma-separated; +0 is left out."""
+    return ", ".join(
+        f"{word_text(sig, u)}->{word_text(sig, v)}{f'{c:+d}' if c else ''}"
+        for u, v, c in branches
+    )
 
 
 def refine_branch(sig, br, w):
@@ -396,10 +390,12 @@ class OpenDiffSet:
         return self.core.is_empty
 
     def __repr__(self):
+        sig = self.core.sig
+        core = wordset_text(sig, self.core)
         if not self.removed:
-            return f"OpenDiffSet({self.core.pretty()})"
-        pts = ", ".join(p.pretty() for p in self.removed)
-        return f"OpenDiffSet({self.core.pretty()} minus [{pts}])"
+            return f"OpenDiffSet({core})"
+        pts = ", ".join(point_text(sig, p) for p in self.removed)
+        return f"OpenDiffSet({core} minus [{pts}])"
 
 
 def _one_sided_difference(S, T):
@@ -428,8 +424,8 @@ def difference_set(S, T):
     core = fwd_core | inv_core
     removed = []
     for x in {*fwd_removed, *inv_removed}:
-        in_fwd = x.in_clopen(fwd_core) and all(x != p for p in fwd_removed)
-        in_inv = x.in_clopen(inv_core) and all(x != p for p in inv_removed)
+        in_fwd = x.in_clopen(fwd_core) and x not in fwd_removed
+        in_inv = x.in_clopen(inv_core) and x not in inv_removed
         if not in_fwd and not in_inv and x.in_clopen(core):
             removed.append(x)
     return OpenDiffSet(core, tuple(sorted(removed, key=lambda p: (p.head, p.cycle))))
@@ -548,7 +544,7 @@ def period_structure(T, max_power):
         iso_exact[p] = [
             x
             for x in iso[p]
-            if not x.in_clopen(lower) and all(x != y for y in lower_pts)
+            if not x.in_clopen(lower) and x not in lower_pts
         ]
     covered = Clopen.empty(sig)
     for p in exact:

@@ -57,7 +57,7 @@ class ProductMeasure:
         m = ProductMeasure(sig, pre, cyc)
         if len(pre) < len(sig.preperiod) or (len(pre) - len(sig.preperiod)) % len(
             sig.period
-        ) or len(cyc) % len(sig.period):
+        ) or not cyc or len(cyc) % len(sig.period):
             raise ValueError("weight rows misaligned with the signature period")
         horizon = len(pre) + len(cyc)
         for t in range(horizon):

@@ -15,6 +15,10 @@ words out of each word above them.  Each result is canonical as built.
 The metric is fixed once and for all as d(x, y) = 2^-(first differing level)
 independent of the level sizes; every metric quantity in the library is
 therefore a dyadic rational.
+
+word_text, wordset_text and point_text are the one notation for words, sets
+and points: the .cdyn documents print with them, and so do the reprs of
+Clopen, Point and (through homeo.branches_text) PrefixMap.
 """
 
 from __future__ import annotations
@@ -346,13 +350,8 @@ class Clopen:
         parts.append(Clopen.make(self.sig, ws[m - 1 :]))
         return parts
 
-    def pretty(self):
-        if self.is_empty:
-            return "{}"
-        return "{" + ", ".join(format_word(self.sig, w) for w in self.words) + "}"
-
     def __repr__(self):
-        return f"Clopen{self.pretty()}"
+        return f"Clopen{wordset_text(self.sig, self)}"
 
 
 def partition_at_depth(sig, t):
@@ -379,17 +378,13 @@ def is_partition(sets):
     return acc.is_full
 
 
-def format_word(sig, w):
-    if not w:
-        return "e"
-    if all(sig.level(t) <= 10 for t in range(len(w))):
-        return "".join(str(d) for d in w)
-    return ".".join(str(d) for d in w)
-
-
 @dataclass(frozen=True)
 class Point:
-    """Eventually periodic digit stream head . (cycle)^infinity."""
+    """Eventually periodic digit stream head . (cycle)^infinity.
+
+    make returns the reduced spelling (minimal cycle, then minimal head),
+    which is unique for each stream, so the fields are the equality.
+    """
 
     sig: Signature
     head: tuple
@@ -412,22 +407,10 @@ class Point:
             if n % p == 0 and cycle == cycle[p:] + cycle[:p]:
                 cycle = cycle[:p]
                 break
-        # minimal preperiod: absorb trailing head digits into the cycle when
-        # the rotated cycle stays valid at the earlier position
-        while head:
-            rotated = (cycle[-1],) + cycle[:-1]
-            candidate = Point(sig, head[:-1], rotated)
-            if head[-1] != cycle[-1]:
-                break
-            t0 = len(head) - 1
-            horizon2 = lcm(len(rotated), sig.state_period()) + len(sig.preperiod)
-            ok = all(
-                0 <= candidate.digit(t0 + i) < sig.level(t0 + i)
-                for i in range(horizon2 + 1)
-            )
-            if not ok:
-                break
-            head, cycle = head[:-1], rotated
+        # minimal preperiod: a trailing head digit equal to the last cycle
+        # digit joins the cycle; the digit stream, checked above, is unchanged
+        while head and head[-1] == cycle[-1]:
+            head, cycle = head[:-1], (cycle[-1],) + cycle[:-1]
         return Point(sig, head, cycle)
 
     def digit(self, t):
@@ -445,36 +428,13 @@ class Point:
         k = (n - len(self.head)) % len(self.cycle)
         return Point.make(self.sig.shift(n), (), self.cycle[k:] + self.cycle[:k])
 
-    def __eq__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        if self.sig != other.sig:
-            return False
-        n = max(len(self.head), len(other.head)) + lcm(
-            len(self.cycle), len(other.cycle)
-        )
-        return self.digits(n) == other.digits(n)
-
-    def __hash__(self):
-        # hash via canonical form; make() already minimized head and cycle
-        return hash((self.sig, self.head, self.cycle))
-
     def in_clopen(self, A):
         if A.sig != self.sig:
             raise ValueError("signature mismatch")
         return any(self.digits(len(w)) == w for w in A.words)
 
-    def pretty(self):
-        sep = "." if any(
-            self.sig.level(t) > 10
-            for t in range(len(self.head) + len(self.cycle))
-        ) else ""
-        h = sep.join(str(d) for d in self.head)
-        c = sep.join(str(d) for d in self.cycle)
-        return f"{h}({c})"
-
     def __repr__(self):
-        return f"Point[{self.pretty()}]"
+        return f"Point[{point_text(self.sig, self)}]"
 
 
 def point_with_prefix(sig, w, tail):
@@ -490,3 +450,21 @@ def point_distance(x, y):
         if x.digit(t) != y.digit(t):
             return Fraction(1, 2**t)
     return Fraction(0)
+
+
+def word_text(sig, w):
+    """e for the empty word; plain digits when every level size of sig is at
+    most 10, dotted digits otherwise."""
+    if not w:
+        return "e"
+    sep = "" if all(x <= 10 for x in sig.preperiod + sig.period) else "."
+    return sep.join(str(d) for d in w)
+
+
+def wordset_text(sig, A):
+    return "{" + ", ".join(word_text(sig, w) for w in A.words) + "}"
+
+
+def point_text(sig, x):
+    head = word_text(sig, x.head) if x.head else ""
+    return f"{head}({word_text(sig, x.cycle)})"

@@ -22,6 +22,7 @@ from .homeo import (
     common_refinement,
     compose_branches,
     difference_set,
+    fixed_points,
     invert_branches,
     period_structure,
     refine_branch,
@@ -88,8 +89,9 @@ class OverlapGraph:
     atoms: list
     cells: dict  # (i, j) -> nonempty Clopen, T(F_i) & F_j
     arcs: list  # sorted (i, j) with nonempty cell
-    multiplicities: dict = None  # (i, j) -> m_ij >= 1, balanced
-    balance_feasible: bool = True
+    components: list  # strongly connected components, sorted vertex lists
+    multiplicities: dict  # (i, j) -> m_ij >= 1, balanced; None if infeasible
+    balance_feasible: bool
 
     def to_dot(self):
         lines = ["digraph overlap {"]
@@ -153,25 +155,6 @@ def _scc(n, arcs):
         if index[v] is None:
             strong(v)
     return comps
-
-
-def _weak_components(n, arcs):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in arcs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    comps = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    return [sorted(c) for c in comps.values()]
 
 
 def minimal_circulation(n, arcs):
@@ -245,34 +228,27 @@ def overlap_graph(T, partition):
             if not cell.is_empty:
                 cells[(i, j)] = cell
     arcs = sorted(cells)
-    g = OverlapGraph(n=n, atoms=atoms, cells=cells, arcs=arcs)
-    feasible = all(
-        sorted(c) in [sorted(s) for s in _scc(n, arcs)]
-        for c in _weak_components(n, arcs)
+    comps = _scc(n, arcs)
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    # balanced multiplicities exist iff every weak component is strongly
+    # connected, that is, iff no arc joins two strong components; augmenting
+    # paths then never leave a component, so one circulation serves them all
+    feasible = all(comp_of[i] == comp_of[j] for i, j in arcs)
+    return OverlapGraph(
+        n=n,
+        atoms=atoms,
+        cells=cells,
+        arcs=arcs,
+        components=comps,
+        multiplicities=minimal_circulation(n, arcs) if feasible else None,
+        balance_feasible=feasible,
     )
-    g.balance_feasible = feasible
-    if feasible:
-        mult = {}
-        for comp in _weak_components(n, arcs):
-            comp_set = set(comp)
-            sub = [a for a in arcs if a[0] in comp_set]
-            local = minimal_circulation(n, sub)
-            if local is None:
-                g.balance_feasible = False
-                g.multiplicities = None
-                return g
-            mult.update(local)
-        g.multiplicities = mult
-    return g
 
 
 def _witness_from_graph(g):
     """A proper clopen union of atoms with T F inside F (forward-closed)."""
-    comps = _scc(g.n, g.arcs)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    comps = g.components
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     terminal = []
     for ci, comp in enumerate(comps):
         if all(comp_of[j] == ci for i, j in g.arcs if i in comp):
@@ -363,8 +339,7 @@ def _glue_cycle(sig, pieces, close_exactly=False):
 def odometer_in_weak_neighborhood(T, partition):
     """Odometer-structured S with S F_i = T F_i, or a closed-set witness."""
     g = overlap_graph(T, partition)
-    comps = _scc(g.n, g.arcs)
-    if len(comps) != 1:
+    if len(g.components) != 1:
         return SynthesisResult(ok=False, graph=g, witness=_witness_from_graph(g))
     pieces = _circuit_pieces(g)
     sig = partition[0].sig
@@ -385,15 +360,13 @@ def odometer_in_weak_neighborhood(T, partition):
 def periodic_in_weak_neighborhood(T, partition):
     """Pointwise periodic P with P F_i = T F_i, or a closed-set witness."""
     g = overlap_graph(T, partition)
-    sccs = [tuple(c) for c in _scc(g.n, g.arcs)]
-    for comp in _weak_components(g.n, g.arcs):
-        if tuple(comp) not in sccs:
-            return SynthesisResult(ok=False, graph=g, witness=_witness_from_graph(g))
+    if not g.balance_feasible:
+        return SynthesisResult(ok=False, graph=g, witness=_witness_from_graph(g))
     sig = partition[0].sig
     branches = []
     orders = []
     all_pieces = []
-    for comp in _weak_components(g.n, g.arcs):
+    for comp in sorted(g.components):
         pieces = _circuit_pieces(g, set(comp))
         all_pieces.append(pieces)
         branches.extend(_glue_cycle(sig, pieces, close_exactly=True))
@@ -480,15 +453,18 @@ def fundamental_domain(P, p):
     if p < 1:
         raise ValueError(f"period must be positive, got {p}")
     Pm = as_prefix_map(P)
+    # square and multiply: a wrong period is refused after O(log p) compositions
     if not Pm.power(p).is_identity():
         raise ValueError(f"map is not exactly {p}-periodic")
     if p == 1:
         return Clopen.full(Pm.sig)
-    info = period_structure(Pm, p - 1)
-    for q, part in info["exact_period_parts"].items():
-        if not part.is_empty or info["isolated_periodic_points"][q]:
+    powers = _powers(Pm, p - 1)
+    # the least q with a fixed point of P^q is the exact period of that point
+    for q, Pq in enumerate(powers, 1):
+        core, isolated = fixed_points(Pq)
+        if not core.is_empty or isolated:
             raise ValueError(f"points of period {q} < {p} present")
-    c = min(map(_min_displacement, _powers(Pm, p - 1)))
+    c = min(map(_min_displacement, powers))
     depth = 0
     while Fraction(1, 2**depth) > c / 2:
         depth += 1
@@ -596,7 +572,12 @@ def _separated_base(Tm, Tinv, n, depth, cycles=None):
 
 
 def _first_return_towers(Tm, Tinv, B, cap):
-    """Towers over B decomposed by first return time, exact."""
+    """Towers over B decomposed by first return time, exact.
+
+    A base from _separated_base for gap n returns within 2n - 1 steps,
+    because its images T^j(B), |j| < n, cover the space; the cap only
+    guards against a search without end.
+    """
     towers = []
     remaining = B
     back = B  # T^-h(B)
@@ -604,7 +585,7 @@ def _first_return_towers(Tm, Tinv, B, cap):
     while not remaining.is_empty:
         h += 1
         if h > cap:
-            return None
+            raise RuntimeError(f"base points still unreturned after {cap} steps")
         back = Tinv.image(back)
         ret = remaining & back
         if not ret.is_empty:
@@ -739,16 +720,12 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
         if _separated_cover_exists(Tm, n, depth, cycles):
             B0 = _separated_base(Tm, Tinv, n, depth, cycles)
             towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
-            if towers0 is not None:
-                B, bounds = _shifted_top_castle(Tinv, towers0, n, measures)
-                candidates.append((B, bounds))
+            candidates.append(_shifted_top_castle(Tinv, towers0, n, measures))
         sep = slices * n
-        if sep > n and _separated_cover_exists(Tm, sep, depth, cycles):
+        if _separated_cover_exists(Tm, sep, depth, cycles):
             B0 = _separated_base(Tm, Tinv, sep, depth, cycles)
             towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
-            if towers0 is not None:
-                B, bounds = _sliced_castle(towers0, n, measures)
-                candidates.append((B, bounds))
+            candidates.append(_sliced_castle(towers0, n, measures))
         if not candidates:
             last_diag = f"no separated cover at depth {depth}"
             continue

@@ -57,6 +57,9 @@ def test_clopen_and_measure_documents():
     mu = ProductMeasure.make(SIG, [], [(Fraction(1, 3), Fraction(2, 3))])
     text = roundtrip(doc_measure(mu))
     assert "product[|1/3,2/3]" in text
+    half = (Fraction(1, 2), Fraction(1, 2))
+    flat = ProductMeasure.make(SIG, [half], [half])
+    assert print_document(doc_measure(flat)) == "cdyn 1\nmeasure dyadic uniform\n"
     d = Dirac(SIG, Point.make(SIG, (0,), (1,)))
     assert roundtrip(doc_measure(d)) == "cdyn 1\nmeasure dyadic dirac 0(1)\n"
     mix = Mixture.make(SIG, [(Fraction(1, 4), d), (Fraction(3, 4), mu)])
@@ -156,6 +159,8 @@ REJECTS = [
     ("neighborhood weak 1/-2 (odometer dyadic 1)", "rational-form"),
     ("certificate dyadic x {a +3}", "rational-form"),
     ("clopen base(12;2) {.1}", "empty-digit"),
+    ("measure dyadic product[|1/2,1/2]", "product-is-uniform"),
+    ("measure dyadic product[1/2,1/2|1/2,1/2]", "product-is-uniform"),
 ]
 
 
@@ -181,6 +186,8 @@ def test_reject_malformed_shapes():
         parse("signature dyadic trailing")
     with pytest.raises(DocumentError):
         parse("homeo tree-pair dyadic {0->1}")  # not a bijection
+    with pytest.raises(DocumentError):
+        parse("measure dyadic product[|]")  # no cycle row
 
 
 def test_error_carries_position():
@@ -234,3 +241,16 @@ def test_json_mirror_fields():
     }
     j = document_json(doc_homeo(Odometer(SIG, 1)))
     assert j["homeo"] == "odometer dyadic 1"
+
+
+@pytest.mark.parametrize("sig", [DYADIC, Signature((), (2, 2, 12))])
+def test_reprs_use_the_document_notation(sig):
+    A = Clopen.make(sig, [(0, 1), (1, 0, 1)])
+    x = Point.make(sig, (), (0, 1))
+    T = PrefixMap.tree_pair(sig, [((0, 0), (0, 1)), ((0, 1), (0, 0)), ((1,), (1,))])
+    clopen_body = print_document(doc_clopen(A)).split("\n")[1]
+    dirac_body = print_document(doc_measure(Dirac(sig, x))).split("\n")[1]
+    homeo_body = print_document(doc_homeo(T)).split("\n")[1]
+    assert repr(A) == "Clopen" + clopen_body[clopen_body.index("{") :]
+    assert repr(x) == f"Point[{dirac_body.split('dirac ')[1]}]"
+    assert repr(T) == "PrefixMap" + homeo_body[homeo_body.index("{") :]

@@ -15,7 +15,7 @@ from cantordyn.space import (
     partition_at_depth,
     point_distance,
 )
-from cantordyn.gen import random_clopen
+from cantordyn.gen import random_clopen, random_point
 
 from conftest import SIGS, mask
 
@@ -244,3 +244,27 @@ def test_point_membership_and_distance():
     assert point_distance(x, y) == Fraction(1, 2)
     assert point_distance(x, x) == 0
     assert point_distance(x, y) == point_distance(y, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SIGS),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(1, 3),
+)
+def test_point_spellings_make_one_value(sig, seed_x, seed_y, m, k, r):
+    """Point.make maps every spelling of one stream to one value: the cycle
+    repeated r times, k cycle digits rotated into the head, and the head
+    extended by m whole cycles.  Equality then agrees with the metric."""
+    x = random_point(random.Random(seed_x), sig)
+    k %= len(x.cycle)
+    rotated = x.cycle[k:] + x.cycle[:k]
+    spelled = Point.make(sig, x.head + x.cycle * m + x.cycle[:k], rotated * r)
+    assert spelled == x and hash(spelled) == hash(x)
+    assert (spelled.head, spelled.cycle) == (x.head, x.cycle)
+    y = random_point(random.Random(seed_y), sig)
+    for z in (y, spelled):
+        assert (x == z) == (point_distance(x, z) == 0)

@@ -109,6 +109,58 @@ def test_overlap_graph_dissipative_is_infeasible():
     assert not g.balance_feasible
 
 
+def _block_code(rng, sig, splits):
+    """A complete prefix code whose words all see the same tail signature:
+    the depth-q words split, period block by period block, at random."""
+    q, p = len(sig.preperiod), len(sig.period)
+    words = sig.words(q)
+    for _ in range(splits):
+        w = words.pop(rng.randrange(len(words)))
+        words += [w + r for r in sig.shift(len(w)).words(p)]
+    return words
+
+
+def _reachable(arcs, v):
+    seen, todo = {v}, [v]
+    while todo:
+        u = todo.pop()
+        for i, j in arcs:
+            if i == u and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+def test_overlap_graph_against_reachability_oracle():
+    """Balanced multiplicities exist iff every weak component is strongly
+    connected, and they are the minimal circulation of each component."""
+    rng = random.Random(47)
+    seen = set()
+    for i in range(150):
+        sig = SIGS[i % 3]
+        k = rng.randint(0, 3)
+        dom, ran = _block_code(rng, sig, k), _block_code(rng, sig, k)
+        rng.shuffle(ran)
+        T = PrefixMap.tree_pair(sig, list(zip(dom, ran)))
+        if rng.random() < 0.5:
+            T = T.after(random_homeo(rng, sig))
+        g = overlap_graph(T, random_partition(rng, sig, max_atoms=8))
+        undirected = g.arcs + [(j, i) for i, j in g.arcs]
+        weak = {frozenset(_reachable(undirected, v)) for v in range(g.n)}
+        strong = all(c <= _reachable(g.arcs, v) for c in weak for v in c)
+        assert g.balance_feasible == strong
+        seen.add(strong)
+        if strong:
+            expected = {}
+            for c in weak:
+                sub = [a for a in g.arcs if a[0] in c]
+                expected.update(minimal_circulation(g.n, sub))
+            assert g.multiplicities == expected
+        else:
+            assert g.multiplicities is None
+    assert seen == {True, False}
+
+
 def test_odometer_synthesis_matches_target_on_atoms():
     rng = random.Random(41)
     for _ in range(25):
@@ -196,6 +248,20 @@ def test_fundamental_domain_rejects_shorter_periods():
     # identity has fixed points, not 2-periodic
     with pytest.raises(ValueError):
         fundamental_domain(PrefixMap.identity(SIG), 2)
+
+
+def test_fundamental_domain_refusals_name_the_period(compositions):
+    ws = SIG.words(3)
+    # a 4-cycle on the first four depth-3 cylinders, 2-cycles on the rest
+    images = [ws[1], ws[2], ws[3], ws[0], ws[5], ws[4], ws[7], ws[6]]
+    P = PrefixMap.tree_pair(SIG, list(zip(ws, images)))
+    with pytest.raises(ValueError, match="period 2 < 4"):
+        fundamental_domain(P, 4)
+    # a wrong period is refused by square and multiply, not p compositions
+    del compositions[:]
+    with pytest.raises(ValueError, match="not exactly 1000000-periodic"):
+        fundamental_domain(OD, 10**6)
+    assert len(compositions) <= 2 * (10**6).bit_length()
 
 
 def test_aperiodize_swap():
