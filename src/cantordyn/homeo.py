@@ -15,6 +15,11 @@ after, inverse, power, identity or Odometer.as_map returns is canonical as
 built (no complete sibling family of branches is left unmerged), so
 equality and hashing are those of the (sig, branches) tuple, as for Clopen.
 
+_cells is the one comparison of two maps: on each cylinder of their common
+refinement they agree, stay 2^-k apart at every point, or meet at exactly
+one point.  The pointwise distances, difference sets, fixed points, periods
+and full-group pieces all read it.
+
 A map is synchronous when every branch has |u| = |v|; odometers and
 tree pairs that permute the cylinders of one depth are.  Once d reaches the
 domain depth, a synchronous map permutes the depth-d cylinders, and
@@ -69,12 +74,12 @@ def point_add(x, k):
         pos += 1
 
 
-def _sstar(sig, c):
-    """Largest s with (lambda_0 ... lambda_{s-1}) | c, for c != 0."""
+def _sstar(sig, depth, c):
+    """Largest s with (lambda_depth ... lambda_{depth+s-1}) | c, for c != 0."""
     s = 0
     n = 1
     while True:
-        n *= sig.level(s)
+        n *= sig.level(depth + s)
         if c % n:
             return s
         s += 1
@@ -324,27 +329,41 @@ def common_refinement(S, T):
     return [(w, sb[w], tb[w]) for w in ws]
 
 
-def branch_sup_distance(sig, w, b1, b2):
-    """sup over the cylinder of w of d(Sx, Tx) for refined images b1, b2."""
-    (v1, c1), (v2, c2) = b1, b2
-    if v1 == v2:
-        if c1 == c2:
-            return Fraction(0)
-        sub = sig.shift(len(v1))
-        return Fraction(1, 2 ** (len(v1) + _sstar(sub, c1 - c2)))
-    k = lcp_len(v1, v2)
-    if k < min(len(v1), len(v2)):
-        return Fraction(1, 2**k)
-    # comparable distinct words: sup attained at the first free digit
-    return Fraction(1, 2 ** min(len(v1), len(v2)))
+def _cells(S, T):
+    """(w, b1, b2, k, meets) for each cylinder w of common_refinement.
+
+    k is None where S = T on [w].  Otherwise d(Sx, Tx) = 2^-k at every x of
+    [w] when meets is false (equal image words with different carries, or
+    incomparable words).  meets is true where one image word properly extends
+    the other: 2^-k is the sup over [w], and the maps agree at exactly one
+    point of [w] (_solve_agreement_point).
+    """
+    sig = S.sig
+    for w, b1, b2 in common_refinement(S, T):
+        (v1, c1), (v2, c2) = b1, b2
+        if v1 != v2:
+            k = lcp_len(v1, v2)
+            yield w, b1, b2, k, k == min(len(v1), len(v2))
+        elif c1 != c2:
+            yield w, b1, b2, len(v1) + _sstar(sig, len(v1), c1 - c2), False
+        else:
+            yield w, b1, b2, None, False
 
 
 def sup_pointwise_distance(S, T):
     """sup_x d(Sx, Tx), exact, for PrefixMaps."""
-    best = Fraction(0)
-    for w, b1, b2 in common_refinement(S, T):
-        best = max(best, branch_sup_distance(S.sig, w, b1, b2))
-    return best
+    ks = [k for _, _, _, k, _ in _cells(S, T) if k is not None]
+    return Fraction(1, 2 ** min(ks)) if ks else Fraction(0)
+
+
+def inf_pointwise_distance(S, T):
+    """inf_x d(Sx, Tx), exact, for PrefixMaps: 0 where they agree anywhere."""
+    ks = []
+    for _, _, _, k, meets in _cells(S, T):
+        if k is None or meets:
+            return Fraction(0)
+        ks.append(k)
+    return Fraction(1, 2 ** max(ks))
 
 
 def _solve_agreement_point(sig, w, b1, b2):
@@ -356,25 +375,19 @@ def _solve_agreement_point(sig, w, b1, b2):
     (v1, c1), (v2, c2) = b1, b2
     if len(v1) > len(v2):
         (v1, c1), (v2, c2) = (v2, c2), (v1, c1)
-    r = v2[len(v1) :]
     sub = sig.shift(len(v1))
-    e = c2 - c1
     digits = []
     seen = {}
-    cur_sub, cur_r, cur_e = sub, r, e
-    while True:
-        key = (cur_sub, cur_r, cur_e)
-        if key in seen:
-            start = seen[key]
-            z = Point.make(sub, tuple(digits[:start]), tuple(digits[start:]))
-            break
-        seen[key] = len(digits)
+    cur_sub, cur_r, cur_e = sub, v2[len(v1) :], c2 - c1
+    while (cur_sub, cur_r, cur_e) not in seen:
+        seen[cur_sub, cur_r, cur_e] = len(digits)
         nxt, cur_e = cur_sub.add_to_word(0, cur_r, cur_e)
         digits.extend(cur_r)
         cur_sub = cur_sub.shift(len(cur_r))
         cur_r = nxt
-    y = point_add(z, -c1)
-    return point_with_prefix(sig, w, y)
+    start = seen[cur_sub, cur_r, cur_e]
+    z = Point.make(sub, tuple(digits[:start]), tuple(digits[start:]))
+    return point_with_prefix(sig, w, point_add(z, -c1))
 
 
 @dataclass(frozen=True)
@@ -400,20 +413,14 @@ class OpenDiffSet:
 
 def _one_sided_difference(S, T):
     """Core and removed points of {x : Sx != Tx} for PrefixMaps."""
-    sig = S.sig
     core_words = []
     removed = []
-    for w, b1, b2 in common_refinement(S, T):
-        (v1, c1), (v2, c2) = b1, b2
-        if (v1, c1) == (v2, c2):
-            continue
-        k = lcp_len(v1, v2)
-        if v1 == v2 or k < min(len(v1), len(v2)):
-            core_words.append(w)  # maps differ at every point of the branch
-        else:
+    for w, b1, b2, k, meets in _cells(S, T):
+        if k is not None:
             core_words.append(w)
-            removed.append(_solve_agreement_point(sig, w, b1, b2))
-    return Clopen.make(sig, core_words), removed
+            if meets:
+                removed.append(_solve_agreement_point(S.sig, w, b1, b2))
+    return Clopen.make(S.sig, core_words), removed
 
 
 def difference_set(S, T):
@@ -501,16 +508,12 @@ def tabulate(T, depth):
 def fixed_points(T):
     """Clopen fixed part and isolated fixed points of an exact map."""
     m = as_prefix_map(T)
-    ident = PrefixMap.identity(m.sig)
     fixed_words = []
     isolated = []
-    for w, b1, b2 in common_refinement(m, ident):
-        (v1, c1), (v2, c2) = b1, b2
-        if (v1, c1) == (v2, c2):
+    for w, b1, b2, k, meets in _cells(m, PrefixMap.identity(m.sig)):
+        if k is None:
             fixed_words.append(w)
-            continue
-        k = lcp_len(v1, v2)
-        if v1 != v2 and k == min(len(v1), len(v2)):
+        elif meets:
             isolated.append(_solve_agreement_point(m.sig, w, b1, b2))
     return Clopen.make(m.sig, fixed_words), sorted(
         isolated, key=lambda p: (p.head, p.cycle)
@@ -518,47 +521,35 @@ def fixed_points(T):
 
 
 def period_structure(T, max_power):
-    """Exact-period clopen parts and isolated periodic points up to a bound."""
+    """Exact-period clopen parts and isolated periodic points up to a bound.
+
+    A point fixed by T^p and T^q is fixed by T^gcd(p, q), so the points of
+    exact period p are the fixed points of T^p not fixed by any lower power.
+    """
     if max_power < 1:
         raise ValueError(f"bound must be positive, got {max_power}")
     m = as_prefix_map(T)
     sig = m.sig
-    fix = {}
-    iso = {}
+    exact = {}
+    iso_exact = {}
     powers_equal_id = {}
+    covered = Clopen.empty(sig)
+    seen = []
     cur = PrefixMap.identity(sig)
     for p in range(1, max_power + 1):
         cur = m.after(cur)
-        fix[p], iso[p] = fixed_points(cur)
+        fix, iso = fixed_points(cur)
         powers_equal_id[p] = cur.is_identity()
-    exact = {}
-    iso_exact = {}
-    for p in range(1, max_power + 1):
-        lower = Clopen.empty(sig)
-        lower_pts = []
-        for q in range(1, p):
-            if p % q == 0:
-                lower = lower | fix[q]
-                lower_pts.extend(iso[q])
-        exact[p] = fix[p] - lower
-        iso_exact[p] = [
-            x
-            for x in iso[p]
-            if not x.in_clopen(lower) and x not in lower_pts
-        ]
-    covered = Clopen.empty(sig)
-    for p in exact:
+        exact[p] = fix - covered
+        iso_exact[p] = [x for x in iso if not x.in_clopen(covered) and x not in seen]
         covered = covered | exact[p]
-    residual = Clopen.full(sig) - covered
-    aperiodic = all(exact[p].is_empty for p in exact) and all(
-        not iso_exact[p] for p in iso_exact
-    )
+        seen += iso_exact[p]
     return {
         "exact_period_parts": exact,
         "isolated_periodic_points": iso_exact,
         "power_is_identity": powers_equal_id,
-        "residual": residual,
-        "aperiodic_up_to_bound": aperiodic,
+        "residual": covered.complement(),
+        "aperiodic_up_to_bound": covered.is_empty and not seen,
     }
 
 
@@ -570,26 +561,18 @@ def full_group_membership(S, T, bound):
     """
     S = as_prefix_map(S)
     sig = S.sig
-    order = sorted(range(-bound, bound + 1), key=lambda i: (abs(i), -i))
-    powers = {i: as_prefix_map(power(T, i)) for i in order}
-    depth = max(
-        [S.max_domain_depth()] + [powers[i].max_domain_depth() for i in order]
-    )
-    ws = sig.words(depth)
-    sb = {u: (v, c) for u, v, c in S.table(depth)}
-    assignment = {}
-    for i in order:
-        pb = {u: (v, c) for u, v, c in powers[i].table(depth)}
-        for w in ws:
-            if w not in assignment and sb[w] == pb[w]:
-                assignment[w] = i
-    if len(assignment) < len(ws):
-        missing = [w for w in ws if w not in assignment]
-        return None, Clopen.make(sig, missing)
+    rest = Clopen.full(sig)
     parts = {}
-    for w, i in assignment.items():
-        parts.setdefault(i, []).append(w)
-    return {i: Clopen.make(sig, ws_) for i, ws_ in parts.items()}, None
+    for i in sorted(range(-bound, bound + 1), key=lambda i: (abs(i), -i)):
+        Ti = as_prefix_map(power(T, i))
+        agree = [w for w, _, _, k, _ in _cells(S, Ti) if k is None]
+        E = Clopen.make(sig, agree) & rest
+        if not E.is_empty:
+            parts[i] = E
+            rest = rest - E
+    if not rest.is_empty:
+        return None, rest
+    return parts, None
 
 
 def centralizer_index_sequence(R, S, depth):
@@ -621,14 +604,9 @@ def centralizer_index_sequence(R, S, depth):
                 if (i * S.shift - shift0) % p == 0:
                     found = i
                     break
-        if found is None:
-            return {
-                "ok": False,
-                "failure_level": s,
-                "indices": tuple(indices),
-                "moduli": tuple(moduli),
-            }
-        if indices and found % moduli[-1] != indices[-1] % moduli[-1]:
+        if found is None or (
+            indices and found % moduli[-1] != indices[-1] % moduli[-1]
+        ):
             return {
                 "ok": False,
                 "failure_level": s,

@@ -108,10 +108,6 @@ class Signature:
             out.append(d)
         return tuple(out), c
 
-    def state_period(self):
-        """Number of depths after the preperiod before shift() repeats."""
-        return len(self.period)
-
 
 DYADIC = Signature()
 
@@ -298,9 +294,6 @@ class Clopen:
     def __le__(self, other):
         return (self - other).is_empty
 
-    def __contains__(self, point):
-        return point.in_clopen(self)
-
     def diameter(self):
         if self.is_empty:
             raise ValueError("diameter of empty set")
@@ -396,7 +389,7 @@ class Point:
         if not cycle:
             raise ValueError("cycle must be nonempty")
         # validity: digits in range at every level the stream ever occupies
-        horizon = len(head) + lcm(len(cycle), sig.state_period()) + len(sig.preperiod)
+        horizon = len(head) + lcm(len(cycle), len(sig.period)) + len(sig.preperiod)
         probe = Point(sig, head, cycle)
         for t in range(horizon + 1):
             if not 0 <= probe.digit(t) < sig.level(t):

@@ -12,22 +12,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .space import Clopen, is_prefix, is_partition, lcp_len, partition_at_depth
+from .space import Clopen, is_prefix, is_partition, partition_at_depth
 from .measure import measure_of, open_diff_mass
 from .homeo import (
     Odometer,
     PrefixMap,
     TowerSystem,
     as_prefix_map,
-    common_refinement,
     compose_branches,
     difference_set,
-    fixed_points,
+    inf_pointwise_distance,
     invert_branches,
     period_structure,
     refine_branch,
     weak_distance,
-    _sstar,
 )
 
 
@@ -395,27 +393,6 @@ def extend_cyclic_partition_to_odometer(cycle, levels=2):
 # -- fundamental domains and aperiodization ------------------------------------
 
 
-def _min_displacement(P):
-    """inf_x d(x, P x), exact; requires P without fixed points."""
-    Pm = as_prefix_map(P)
-    best = None
-    for w, (v1, c1), (v2, c2) in common_refinement(
-        Pm, PrefixMap.identity(Pm.sig)
-    ):
-        # second operand is the identity: v2 == w, c2 == 0
-        if (v1, c1) == (v2, c2):
-            raise ValueError("map has a clopen set of fixed points")
-        k = lcp_len(v1, v2)
-        if v1 == v2:
-            val = Fraction(1, 2 ** (len(v1) + _sstar(Pm.sig.shift(len(v1)), c1)))
-        elif k < min(len(v1), len(v2)):
-            val = Fraction(1, 2**k)
-        else:
-            raise ValueError("map has an isolated fixed point")
-        best = val if best is None else min(best, val)
-    return best
-
-
 def _positive(epsilon):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -458,13 +435,16 @@ def fundamental_domain(P, p):
         raise ValueError(f"map is not exactly {p}-periodic")
     if p == 1:
         return Clopen.full(Pm.sig)
-    powers = _powers(Pm, p - 1)
-    # the least q with a fixed point of P^q is the exact period of that point
-    for q, Pq in enumerate(powers, 1):
-        core, isolated = fixed_points(Pq)
-        if not core.is_empty or isolated:
+    # the least q with a fixed point of P^q is the exact period of that point;
+    # c is the least displacement inf d(x, P^q x) over q < p
+    ident = Pq = PrefixMap.identity(Pm.sig)
+    c = 1
+    for q in range(1, p):
+        Pq = Pm.after(Pq)
+        d = inf_pointwise_distance(Pq, ident)
+        if d == 0:
             raise ValueError(f"points of period {q} < {p} present")
-    c = min(map(_min_displacement, powers))
+        c = min(c, d)
     depth = 0
     while Fraction(1, 2**depth) > c / 2:
         depth += 1
@@ -525,6 +505,9 @@ def aperiodize_periodic(P, epsilon, p=None, max_order=64):
 
 
 # -- Rokhlin castles and rank-1 approximants ------------------------------------
+
+# deepest cylinder cover the castle search tries
+CASTLE_DEPTH_CAP = 12
 
 
 @dataclass
@@ -681,7 +664,7 @@ def _sliced_castle(towers0, n, measures):
     return Clopen.make(sig, words), bounds
 
 
-def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
+def rokhlin_castle(T, n, measures, epsilon, period_bound=None):
     """Clopen castle of height >= n towers with the marked-base measure bound.
 
     Searches cover depths upward.  At each depth a first pass builds return
@@ -691,7 +674,7 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
     than epsilon uncovered for some absorber position.  When T permutes
     the depth-d cylinders (PrefixMap.cycles), their cycles decide the cover
     and place the separated base without composing powers of T.  Fails with
-    diagnostics at the cap.
+    diagnostics at depth CASTLE_DEPTH_CAP.
 
     The sliced bounds need no image: the return towers' levels partition
     the space, because the separated base meets every orbit, so
@@ -714,7 +697,7 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None, depth_cap=12):
     slices = max(2, int(len(measures) / epsilon) + 1)
     Tinv = Tm.inverse()
     last_diag = None
-    for depth in range(1, depth_cap + 1):
+    for depth in range(1, CASTLE_DEPTH_CAP + 1):
         cycles = Tm.cycles(depth)
         candidates = []
         if _separated_cover_exists(Tm, n, depth, cycles):
@@ -749,7 +732,7 @@ def _verify_castle(castle, n):
             raise RuntimeError("castle tower below requested height")
 
 
-def rank1_in_uniform_neighborhood(T, measures, epsilon, period_bound=8, depth_cap=12):
+def rank1_in_uniform_neighborhood(T, measures, epsilon):
     """Single-cycle approximant agreeing with T off the tower tops.
 
     The castle height is raised until the exact measure of the difference
@@ -761,10 +744,7 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon, period_bound=8, depth_ca
     n = 2
     last = None
     while n <= 4096:
-        castle = rokhlin_castle(
-            Tm, n, measures, Fraction(1, 2), period_bound=max(period_bound, n),
-            depth_cap=depth_cap,
-        )
+        castle = rokhlin_castle(Tm, n, measures, Fraction(1, 2), period_bound=max(8, n))
         towers = castle.towers
         sig = Tm.sig
         branches = []

@@ -194,12 +194,10 @@ def defect_over_partition(kind, S, T, mu, partition, allow_greedy=False):
     return best
 
 
-def limsup_check(sequence, F, horizon=None):
+def limsup_check(sequence, F):
     """Whether F equals the union over m of the intersections of T_n F for
     n > m, at the finite horizon of the supplied sequence."""
     maps = [as_prefix_map(T) for T in sequence]
-    if horizon is not None:
-        maps = maps[:horizon]
     n = len(maps)
     if n < 2:
         raise ValueError("need at least two terms")

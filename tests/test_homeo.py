@@ -1,10 +1,20 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantordyn.space import DYADIC, Clopen, Point, Signature, is_partition
+from cantordyn.space import (
+    DYADIC,
+    Clopen,
+    Point,
+    Signature,
+    is_partition,
+    point_distance,
+    point_with_prefix,
+)
 from cantordyn.homeo import (
     Odometer,
     PrefixMap,
@@ -16,15 +26,17 @@ from cantordyn.homeo import (
     difference_set,
     fixed_points,
     full_group_membership,
+    inf_pointwise_distance,
     inverse,
     invert_branches,
     period_structure,
     point_add,
     power,
+    sup_pointwise_distance,
     weak_distance,
 )
-from cantordyn.synth import restrict_fragment, truncation
-from cantordyn.gen import random_clopen, random_homeo
+from cantordyn.synth import fundamental_domain, restrict_fragment, truncation
+from cantordyn.gen import random_clopen, random_homeo, random_point
 
 from conftest import SIGS, mask
 
@@ -435,3 +447,170 @@ def test_cycles_of_a_map_that_changes_word_length():
     for depth in range(1, 7):
         assert DISS.cycles(depth) is None
         assert _mask_orbits(DISS, depth) is None
+
+
+# -- the comparisons of two maps against points ----------------------------------
+
+
+def _pinned_maps(rng, sig):
+    """Two random maps; over DYADIC, often conjugated or multiplied by a
+    dissipative tree pair, which is not synchronous and has isolated fixed
+    points."""
+    S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+    if sig == DYADIC:
+        c = rng.randrange(4)
+        if c == 1:
+            S = DISS.after(S).after(DISS.inverse())
+            T = DISS.after(T).after(DISS.inverse())
+        elif c == 2:
+            S, T = DISS.after(S), T.after(DISS)
+        elif c == 3:
+            S, T = DISS.after(S), S
+    return S, T
+
+
+def _point_in(rng, sig, w):
+    """A random eventually periodic point of the cylinder of w."""
+    return point_with_prefix(sig, w, random_point(rng, sig.shift(len(w))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(maps)
+def test_comparisons_against_the_point_oracle(drawn):
+    """Difference sets, fixed points and the two pointwise distances agree
+    with PrefixMap.apply on sampled points."""
+    sig, rng = drawn
+    S, T = _pinned_maps(rng, sig)
+    Sinv, Tinv = S.inverse(), T.inverse()
+    for x in difference_set(S, T).removed:
+        assert S.apply(x) == T.apply(x) and Sinv.apply(x) == Tinv.apply(x)
+    core, isolated = fixed_points(S)
+    for x in isolated:
+        assert S.apply(x) == x
+    for w in core.words:
+        x = _point_in(rng, sig, w)
+        assert S.apply(x) == x
+    lo, hi = inf_pointwise_distance(S, T), sup_pointwise_distance(S, T)
+    assert lo <= hi
+    for _ in range(8):
+        x = random_point(rng, sig)
+        assert lo <= point_distance(S.apply(x), T.apply(x)) <= hi
+    core, isolated = fixed_points(Tinv.after(S))
+    assert (lo == 0) == (not core.is_empty or bool(isolated))
+
+
+def _divisor_rule(sig, powers, fix, bound):
+    """period_structure from the fixed points fix[p] of each power, each
+    exact part taken off the fixed points of the proper divisors only."""
+    exact, iso = {}, {}
+    for p in range(1, bound + 1):
+        lower = Clopen.empty(sig)
+        lower_pts = []
+        for q in range(1, p):
+            if p % q == 0:
+                lower = lower | fix[q][0]
+                lower_pts += fix[q][1]
+        exact[p] = fix[p][0] - lower
+        iso[p] = [
+            x for x in fix[p][1] if not x.in_clopen(lower) and x not in lower_pts
+        ]
+    covered = Clopen.empty(sig)
+    for part in exact.values():
+        covered = covered | part
+    return {
+        "exact_period_parts": exact,
+        "isolated_periodic_points": iso,
+        "power_is_identity": {p: powers[p].is_identity() for p in exact},
+        "residual": covered.complement(),
+        "aperiodic_up_to_bound": covered.is_empty and not any(iso.values()),
+    }
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_period_structure_matches_the_divisor_rule(sig):
+    rng = random.Random(47)
+    for _ in range(6):
+        S, _ = _pinned_maps(rng, sig)
+        powers = {p: S.power(p) for p in range(1, 13)}
+        fix = {p: fixed_points(P) for p, P in powers.items()}
+        for bound in range(1, 13):
+            expected = _divisor_rule(sig, powers, fix, bound)
+            assert period_structure(S, bound) == expected
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_full_group_pieces_reassemble_the_map(sig):
+    rng = random.Random(53)
+    accepted = 0
+    for _ in range(12):
+        S, T = _pinned_maps(rng, sig)
+        for T, bound in ((T, 2), (Odometer(sig, 1), 3)):
+            pieces, missing = full_group_membership(S, T, bound)
+            if pieces is None:
+                assert not missing.is_empty
+                continue
+            accepted += 1
+            for i, E in pieces.items():
+                Ti = as_prefix_map(power(T, i))
+                for w in E.words:
+                    for cycle in ((0,), (1,)):
+                        x = Point.make(sig, w, cycle)
+                        assert S.apply(x) == Ti.apply(x)
+    assert accepted
+
+
+# -- the comparisons of two maps, pinned -----------------------------------------
+
+# sha256 of the reprs below as first recorded; a change in any value of the
+# distances, difference sets, fixed points, periods, full-group pieces or
+# fundamental domains of these maps changes it
+COMPARISONS_SHA256 = "bd1ba21a9e381bc939fdb7d61590781a101369f74cd9fc66af3e7c119e860e5d"
+
+
+def _sorted_repr(value):
+    """repr with the items of every dict sorted, at any depth."""
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+        return "{" + ", ".join(f"{k!r}: {_sorted_repr(v)}" for k, v in items) + "}"
+    if isinstance(value, (tuple, list)):
+        return "(" + ", ".join(_sorted_repr(v) for v in value) + ")"
+    return repr(value)
+
+
+def _order(S):
+    """Order of a synchronous map of finite order (a permutation of the
+    cylinders of its domain depth)."""
+    return lcm(*map(len, S.cycles(S.max_domain_depth())))
+
+
+def test_comparisons_are_pinned():
+    h = hashlib.sha256()
+
+    def put(value):
+        h.update(_sorted_repr(value).encode())
+        h.update(b"\n")
+
+    for seed in range(30):
+        rng = random.Random(seed)
+        for sig in SIGS:
+            S, T = _pinned_maps(rng, sig)
+            put(sup_pointwise_distance(S, T))
+            put(weak_distance(S, T))
+            put(difference_set(S, T))
+            put(fixed_points(S))
+            put(fixed_points(T.inverse().after(S)))
+            put(period_structure(S, 6))
+            put(full_group_membership(S, T, 2))
+            put(full_group_membership(S, Odometer(sig, 1), 3))
+            P = random_homeo(rng, sig)
+            if not P.is_tree_pair:
+                P = truncation(sig, rng.randint(1, 3), rng.choice([1, -1, 3]))
+            p = _order(P)
+            if sig == DYADIC and seed % 2:
+                P = DISS.after(P).after(DISS.inverse())
+            for q in (p, 2 * p, max(1, p - 1)):
+                try:
+                    put(fundamental_domain(P, q))
+                except ValueError as exc:
+                    put(str(exc))
+    assert h.hexdigest() == COMPARISONS_SHA256

@@ -264,6 +264,15 @@ def test_fundamental_domain_refusals_name_the_period(compositions):
     assert len(compositions) <= 2 * (10**6).bit_length()
 
 
+def test_fundamental_domain_refuses_a_shorter_period_as_it_composes(compositions):
+    """SWAP^2 is the identity: the refusal comes at q = 2, not after
+    composing all of P, ..., P^(p-1)."""
+    p = 40000
+    with pytest.raises(ValueError, match=f"period 2 < {p}"):
+        fundamental_domain(SWAP, p)
+    assert len(compositions) <= 2 * p.bit_length() + 2
+
+
 def test_aperiodize_swap():
     T, cert = aperiodize_periodic(SWAP, 2)
     assert cert["period"] == 2
