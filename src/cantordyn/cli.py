@@ -37,6 +37,28 @@ class CliError(Exception):
     pass
 
 
+# Input caps: each refuses, before any work, a request whose output or work
+# grows past what one call is meant to do.
+WORD_CAP = 1 << 16  # depth-d cylinders that one --depth may enumerate
+BOUND_CAP = 1024  # powers that one periods or fullgroup --bound may compose
+COUNT_CAP = 10_000  # documents that one gen call may print
+
+
+def _cap_depth(sig, depth, reach):
+    """Refuse --depth when the command reads more than WORD_CAP cylinders of
+    depth reach; the product stops at the cap, so a huge depth costs nothing."""
+    n = 1
+    for t in range(reach):
+        n *= sig.level(t)
+        if n > WORD_CAP:
+            raise CliError(f"--depth {depth} gives more than {WORD_CAP} cylinders")
+
+
+def _cap(option, value, cap):
+    if value > cap:
+        raise CliError(f"{option} {value} is above the cap {cap}")
+
+
 # -- reference resolution --------------------------------------------------------
 
 
@@ -199,6 +221,7 @@ def cmd_compose(args, out):
 def cmd_tabulate(args, out):
     T = as_prefix_map(resolve_homeo(args.T))
     sig = T.sig
+    _cap_depth(sig, args.depth, args.depth)
     for u, v, c in sorted(T.table(args.depth)):
         tail = f"+{c}" if c > 0 else (str(c) if c < 0 else "")
         out.text(f"{word_text(sig, u)} -> {word_text(sig, v)}{tail}")
@@ -217,6 +240,7 @@ def cmd_diff(args, out):
 
 
 def cmd_periods(args, out):
+    _cap("--bound", args.bound, BOUND_CAP)
     T = resolve_homeo(args.T)
     sig = as_prefix_map(T).sig
     info = period_structure(T, args.bound)
@@ -232,6 +256,7 @@ def cmd_periods(args, out):
 
 
 def cmd_fullgroup(args, out):
+    _cap("--bound", args.bound, BOUND_CAP)
     S = resolve_homeo(args.S)
     T = resolve_homeo(args.T)
     sig = as_prefix_map(S).sig
@@ -249,6 +274,8 @@ def cmd_centralizer(args, out):
     S = resolve_homeo(args.S)
     if not isinstance(S, Odometer):
         raise CliError("centralizer test needs an odometer as second argument")
+    # the test images every cylinder of depths 1 ... depth + 1
+    _cap_depth(S.sig, args.depth, args.depth + 1)
     res = centralizer_index_sequence(R, S, args.depth)
     entries = {"ok": res["ok"]}
     for s, (i, p) in enumerate(zip(res["indices"], res["moduli"])):
@@ -360,6 +387,7 @@ def cmd_measure(args, out):
 def cmd_gen(args, out):
     if args.count < 0:
         raise CliError(f"--count must not be negative, got {args.count}")
+    _cap("--count", args.count, COUNT_CAP)
     rng = random.Random(args.seed)
     for i in range(args.count):
         out.doc(random_document(rng, args.kind))

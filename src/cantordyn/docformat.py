@@ -8,7 +8,6 @@ with the violated rule named.  The grammar lives in docs/format.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .space import (
@@ -16,6 +15,7 @@ from .space import (
     Clopen,
     Point,
     Signature,
+    Value,
     is_prefix,
     point_text,
     word_text,
@@ -47,23 +47,20 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class CastleDoc:
+class CastleDoc(Value):
     sig: Signature
     towers: tuple  # of (base Clopen, height)
     base: Clopen
     bound: tuple  # of Fraction
 
 
-@dataclass(frozen=True)
-class CertificateDoc:
+class CertificateDoc(Value):
     sig: Signature
     name: str
     entries: tuple  # of (key, value), keys sorted
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Value):
     kind: str
     value: object
     version: int = VERSION

@@ -29,13 +29,13 @@ map that is not synchronous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .space import (
     Clopen,
     Point,
     Signature,
+    Value,
     canonical_words,
     is_prefix,
     lcp_len,
@@ -85,8 +85,7 @@ def _sstar(sig, depth, c):
         s += 1
 
 
-@dataclass(frozen=True)
-class PrefixMap:
+class PrefixMap(Value):
     """Homeomorphism given by branches u . y |-> v . (y + c)."""
 
     sig: Signature
@@ -170,12 +169,6 @@ class PrefixMap:
 
     # -- branch refinement ------------------------------------------------
 
-    def _branch_for(self, w):
-        """Branch whose domain word is comparable with w."""
-        for u, v, c in self.branches:
-            if is_prefix(u, w) or is_prefix(w, u):
-                yield (u, v, c)
-
     def max_domain_depth(self):
         return max((len(u) for u, _, _ in self.branches), default=0)
 
@@ -183,12 +176,16 @@ class PrefixMap:
         """Branches refined so every domain word has the given depth.
 
         At or below the domain depth each word lies under exactly one branch.
+        The domain words are sorted and partition the space, so the depth-d
+        extensions of each branch in turn are the depth-d words in order.
         """
         if depth < self.max_domain_depth():
             raise ValueError("depth above an existing branch")
         sig = self.sig
         return [
-            refine_branch(sig, next(self._branch_for(w)), w) for w in sig.words(depth)
+            refine_branch(sig, br, w)
+            for br in self.branches
+            for w in sig.words(depth, br[0])
         ]
 
     def cycles(self, depth):
@@ -222,10 +219,11 @@ class PrefixMap:
         """Words whose cylinders cover the image of the cylinder of w exactly
         (not canonicalized)."""
         below = []
-        for u, v, c in self._branch_for(w):
-            if is_prefix(u, w):
-                return [refine_branch(self.sig, (u, v, c), w)[1]]
-            below.append(v)
+        for br in self.branches:
+            if is_prefix(br[0], w):
+                return [refine_branch(self.sig, br, w)[1]]
+            if is_prefix(w, br[0]):
+                below.append(br[1])
         return below
 
     def image(self, A):
@@ -390,8 +388,7 @@ def _solve_agreement_point(sig, w, b1, b2):
     return point_with_prefix(sig, w, point_add(z, -c1))
 
 
-@dataclass(frozen=True)
-class OpenDiffSet:
+class OpenDiffSet(Value):
     """A clopen core minus finitely many eventually periodic points."""
 
     core: Clopen
@@ -449,8 +446,7 @@ def weak_distance(S, T):
 # -- named variants ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Odometer:
+class Odometer(Value):
     """The adding machine x |-> x + k on the mixed-radix digit group."""
 
     sig: Signature
@@ -621,8 +617,7 @@ def centralizer_index_sequence(R, S, depth):
 # -- tower systems -------------------------------------------------------------
 
 
-@dataclass
-class TowerSystem:
+class TowerSystem(Value):
     """Nested cyclic clopen partitions; the set-level witness of rank one.
 
     Level t is a cyclic tuple of disjoint nonempty clopen sets covering the

@@ -7,10 +7,9 @@ points, and finite convex mixtures of the other two.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .space import Point
+from .space import Point, Value
 
 
 def _check_weights(sig, rows, where):
@@ -21,8 +20,7 @@ def _check_weights(sig, rows, where):
             raise ValueError(f"negative weight in {where} position {t}")
 
 
-@dataclass(frozen=True)
-class ProductMeasure:
+class ProductMeasure(Value):
     """Independent digits; weight rows eventually periodic like the signature.
 
     preweights[t] is the probability vector at level t for t < len(preweights);
@@ -97,8 +95,7 @@ class ProductMeasure:
         return m
 
 
-@dataclass(frozen=True)
-class Dirac:
+class Dirac(Value):
     sig: object
     atom: Point
 
@@ -109,8 +106,7 @@ class Dirac:
         return Fraction(1) if x == self.atom else Fraction(0)
 
 
-@dataclass(frozen=True)
-class Mixture:
+class Mixture(Value):
     sig: object
     components: tuple  # of (Fraction weight, measure)
 

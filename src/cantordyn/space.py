@@ -19,11 +19,12 @@ therefore a dyadic rational.
 word_text, wordset_text and point_text are the one notation for words, sets
 and points: the .cdyn documents print with them, and so do the reprs of
 Clopen, Point and (through homeo.branches_text) PrefixMap.
+
+Value is the one base of the package's record types (see its docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 import itertools
@@ -31,8 +32,58 @@ import itertools
 Word = tuple  # tuple of ints, one digit per level
 
 
-@dataclass(frozen=True)
-class Signature:
+class Value:
+    """Immutable record, equal and hashed by its type and fields.
+
+    A subclass names its fields as annotations, in order, with any default
+    as a class attribute.  Each subclass gets its own __init__, which takes
+    the fields by position or keyword, sets them with object.__setattr__
+    and then calls __post_init__ when the class has one.  Two values are
+    equal when they have the same class and equal fields, and the hash is
+    that of the field tuple.  Assigning or deleting an attribute raises
+    AttributeError; pickling stores and restores the fields as usual.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields = cls._fields + own
+        params = ", ".join(f"{f}=cls.{f}" if hasattr(cls, f) else f for f in fields)
+        body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        mine = "".join(f"self.{f}, " for f in fields)
+        theirs = "".join(f"other.{f}, " for f in fields)
+        # object.__setattr__ keeps the fields in CPython's inline values;
+        # a write to the instance __dict__ would slow every later read
+        ns = {"cls": cls, "set_field": object.__setattr__}
+        exec(
+            f"def __init__(self, {params}):{body}\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n",
+            ns,
+        )
+        for name in ("__init__", "__eq__", "__hash__"):
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Signature(Value):
     """Eventually periodic sequence of level sizes lambda_t >= 2."""
 
     preperiod: tuple = ()
@@ -70,10 +121,10 @@ class Signature:
     def valid_word(self, w):
         return all(0 <= d < self.level(t) for t, d in enumerate(w))
 
-    def words(self, t):
-        """All depth-t words in lexicographic order."""
-        ranges = [range(self.level(s)) for s in range(t)]
-        return [tuple(w) for w in itertools.product(*ranges)]
+    def words(self, t, prefix=()):
+        """All depth-t words that extend prefix, in lexicographic order."""
+        ranges = [range(self.level(s)) for s in range(len(prefix), t)]
+        return [prefix + w for w in itertools.product(*ranges)]
 
     def index(self, w):
         """Mixed-radix value of a word, level 0 least significant."""
@@ -232,8 +283,7 @@ def _carve(sig, a, below, out):
         i = k
 
 
-@dataclass(frozen=True)
-class Clopen:
+class Clopen(Value):
     """Canonical clopen subset: a prefix-free, sibling-merged word list."""
 
     sig: Signature
@@ -371,8 +421,7 @@ def is_partition(sets):
     return acc.is_full
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     """Eventually periodic digit stream head . (cycle)^infinity.
 
     make returns the reduced spelling (minimal cycle, then minimal head),

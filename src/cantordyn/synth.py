@@ -8,11 +8,10 @@ into or out of itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .space import Clopen, is_prefix, is_partition, partition_at_depth
+from .space import Clopen, Value, is_prefix, is_partition, partition_at_depth
 from .measure import measure_of, open_diff_mass
 from .homeo import (
     Odometer,
@@ -81,8 +80,7 @@ def restrict_fragment(sig, branches, A):
 # -- overlap graphs and circulations ------------------------------------------
 
 
-@dataclass
-class OverlapGraph:
+class OverlapGraph(Value):
     n: int
     atoms: list
     cells: dict  # (i, j) -> nonempty Clopen, T(F_i) & F_j
@@ -289,8 +287,7 @@ def euler_circuit(vertices, arc_multiset, start):
     return circuit
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(Value):
     ok: bool
     homeo: object = None  # exact PrefixMap realization, when one is built
     tower: TowerSystem = None
@@ -510,8 +507,7 @@ def aperiodize_periodic(P, epsilon, p=None, max_order=64):
 CASTLE_DEPTH_CAP = 12
 
 
-@dataclass
-class Castle:
+class Castle(Value):
     towers: list  # of (base Clopen, height int, levels list of Clopen)
     base: Clopen  # marked base set B, the union of tower bases
     bound: list = None  # per measure, mu(union_{j<n} T^-j B)
@@ -794,8 +790,7 @@ def truncation(sig, t, k=1):
     )
 
 
-@dataclass
-class PeriodicApproximant:
+class PeriodicApproximant(Value):
     ok: bool
     Q: PrefixMap = None
     depth: int = None

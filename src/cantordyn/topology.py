@@ -8,10 +8,9 @@ indeterminate-at-depth instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .space import Clopen
+from .space import Clopen, Value
 from .measure import measure_of, open_diff_mass
 from .homeo import (
     TowerSystem,
@@ -23,35 +22,30 @@ from .homeo import (
 EXHAUSTIVE_ATOM_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class PNeighborhood:
+class PNeighborhood(Value):
     base: object
     sets: tuple
 
 
-@dataclass(frozen=True)
-class UniformNeighborhood:
+class UniformNeighborhood(Value):
     base: object
     measures: tuple
     epsilon: Fraction
 
 
-@dataclass(frozen=True)
-class BarPNeighborhood:
+class BarPNeighborhood(Value):
     base: object
     sets: tuple
     measures: tuple
     epsilon: Fraction
 
 
-@dataclass(frozen=True)
-class WeakBall:
+class WeakBall(Value):
     base: object
     radius: Fraction
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Value):
     ok: bool
     certificate: dict
 

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from cantordyn import cli
 from cantordyn.cli import main
 from cantordyn.docformat import parse
+from cantordyn.space import DYADIC, Clopen
 
 from conftest import subprocess_env
 
@@ -267,6 +269,8 @@ def test_bad_synth_input_exits_one_without_traceback(argv, reason):
          "n must be positive, got 0"),
         (["periods", "swap", "--bound", "0"], "bound must be positive, got 0"),
         (["gen", "--count", "-1"], "--count must not be negative, got -1"),
+        (["tabulate", "odometer:dyadic", "--depth", "40"],
+         "--depth 40 gives more than 65536 cylinders"),
     ],
 )
 def test_bad_bound_exits_one_without_traceback(argv, reason):
@@ -289,6 +293,9 @@ def test_imports_load_only_what_they_use():
         "print([m for m in sys.modules if m.startswith('cantordyn.')])\n"
         "import cantordyn.cli\n"
         "print('cantordyn.synth' in sys.modules)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        "import cantordyn.synth\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
     )
     r = subprocess.run(
         [sys.executable, "-c", code],
@@ -297,4 +304,67 @@ def test_imports_load_only_what_they_use():
         env=subprocess_env(),
         timeout=20,
     )
-    assert r.stdout == "[]\nFalse\n", r.stderr
+    assert r.stdout == "[]\nFalse\nFalse False\nFalse False\n", r.stderr
+
+
+# Each capped command at its cap and one above.  At the cap the command's work
+# is a stub that records its argument; above it the command refuses before any
+# work, so no capped command runs here.
+CAPPED = [
+    (["tabulate", "odometer:dyadic"], "--depth", 16, 17, "cylinders"),
+    (["tabulate", "odometer:base(;3)"], "--depth", 10, 11, "cylinders"),
+    (["centralizer", "odometer:dyadic:3", "odometer:dyadic"], "--depth", 15, 16,
+     "cylinders"),
+    (["periods", "swap"], "--bound", cli.BOUND_CAP, cli.BOUND_CAP + 1, "cap"),
+    (["fullgroup", "swap", "odometer:dyadic"], "--bound", cli.BOUND_CAP,
+     cli.BOUND_CAP + 1, "cap"),
+    (["gen"], "--count", cli.COUNT_CAP, cli.COUNT_CAP + 1, "cap"),
+]
+
+
+def _stub_work(monkeypatch):
+    seen = []
+
+    def table(self, depth):
+        seen.append(depth)
+        return []
+
+    def centralizer(R, S, depth):
+        seen.append(depth)
+        return {"ok": True, "indices": (), "moduli": ()}
+
+    def periods(T, bound):
+        seen.append(bound)
+        return {"aperiodic_up_to_bound": False, "exact_period_parts": {},
+                "isolated_periodic_points": {}, "residual": Clopen.empty(DYADIC)}
+
+    def fullgroup(S, T, bound):
+        seen.append(bound)
+        return {}, None
+
+    doc = parse("cdyn 1\nclopen dyadic {0}\n")
+
+    def document(rng, kind):
+        seen.append(1)
+        return doc
+
+    monkeypatch.setattr(cli.PrefixMap, "table", table)
+    monkeypatch.setattr(cli, "centralizer_index_sequence", centralizer)
+    monkeypatch.setattr(cli, "period_structure", periods)
+    monkeypatch.setattr(cli, "full_group_membership", fullgroup)
+    monkeypatch.setattr(cli, "random_document", document)
+    return seen
+
+
+@pytest.mark.parametrize("argv, option, cap, above, word", CAPPED)
+def test_caps_admit_their_value_and_refuse_above(
+    capsys, monkeypatch, argv, option, cap, above, word
+):
+    seen = _stub_work(monkeypatch)
+    code, _, err = run(capsys, *argv, option, str(cap))
+    assert (code, err) == (0, "")
+    assert seen == ([1] * cap if argv == ["gen"] else [cap])
+    del seen[:]
+    code, out, err = run(capsys, *argv, option, str(above))
+    assert (code, out, seen) == (1, "", [])
+    assert err.startswith(f"error: {option} {above} ") and word in err

@@ -32,6 +32,7 @@ from cantordyn.homeo import (
     period_structure,
     point_add,
     power,
+    refine_branch,
     sup_pointwise_distance,
     weak_distance,
 )
@@ -333,6 +334,21 @@ def test_maps_are_canonical_as_built(sig):
     for _ in range(20):
         for m in _built_maps(rng, sig):
             assert m.canonical() == m
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_table_walks_branches_in_word_order(sig):
+    """table against a scan of every branch for every depth-d word."""
+    rng = random.Random(41)
+    for _ in range(10):
+        for m in _built_maps(rng, sig):
+            top = m.max_domain_depth()
+            for d in range(top, top + 2):
+                want = []
+                for w in sig.words(d):
+                    (br,) = [b for b in m.branches if w[: len(b[0])] == b[0]]
+                    want.append(refine_branch(sig, br, w))
+                assert m.table(d) == want
 
 
 @pytest.mark.parametrize("sig", SIGS)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from cantordyn.space import (
     Clopen,
     Point,
     Signature,
+    Value,
     canonical_words,
     cyclic_partition,
     is_partition,
@@ -16,6 +18,22 @@ from cantordyn.space import (
     point_distance,
 )
 from cantordyn.gen import random_clopen, random_point
+from cantordyn import docformat as df
+from cantordyn.homeo import Odometer, PrefixMap, TowerSystem, difference_set
+from cantordyn.measure import Dirac, Mixture, ProductMeasure
+from cantordyn.synth import (
+    odometer_in_weak_neighborhood,
+    overlap_graph,
+    periodic_approx_odometer,
+    rokhlin_castle,
+)
+from cantordyn.topology import (
+    BarPNeighborhood,
+    PNeighborhood,
+    UniformNeighborhood,
+    WeakBall,
+    in_neighborhood,
+)
 
 from conftest import SIGS, mask
 
@@ -268,3 +286,144 @@ def test_point_spellings_make_one_value(sig, seed_x, seed_y, m, k, r):
     y = random_point(random.Random(seed_y), sig)
     for z in (y, spelled):
         assert (x == z) == (point_distance(x, z) == 0)
+
+
+# -- value types -------------------------------------------------------------------
+
+
+def _values():
+    """One small instance of each value type, mostly as the library builds it."""
+    half = Fraction(1, 2)
+    A = Clopen.make(DYADIC, [(0,), (1, 0)])
+    x = Point.make(DYADIC, (1,), (0,))
+    od = Odometer(DYADIC, 1)
+    swap = PrefixMap.tree_pair(DYADIC, [((0,), (1,)), ((1,), (0,))])
+    mu = ProductMeasure.uniform(DYADIC)
+    dirac = Dirac(DYADIC, x)
+    parts = partition_at_depth(DYADIC, 1)
+    castle = rokhlin_castle(od, 2, [mu], Fraction(1, 4))
+    castle_doc = df.doc_castle(DYADIC, [(b, h) for b, h, _ in castle.towers],
+                               castle.base, castle.bound)
+    return [
+        Signature((3,), (2,)),
+        A,
+        x,
+        swap,
+        od,
+        difference_set(od, swap),
+        TowerSystem.from_cycle(parts).ensure_levels(2),
+        mu,
+        dirac,
+        Mixture.make(DYADIC, [(half, mu), (half, dirac)]),
+        PNeighborhood(swap, tuple(parts)),
+        UniformNeighborhood(od, (mu,), half),
+        BarPNeighborhood(od, tuple(parts), (mu,), half),
+        WeakBall(od, half),
+        in_neighborhood(swap, WeakBall(od, Fraction(5, 2))),
+        overlap_graph(od, parts),
+        odometer_in_weak_neighborhood(od, parts),
+        castle,
+        periodic_approx_odometer(od, "weak", epsilon=half),
+        castle_doc,
+        castle_doc.value,
+        df.doc_certificate(DYADIC, "difference", {"core": A}).value,
+    ]
+
+
+VALUES = _values()
+
+
+def _fields(x):
+    return tuple(getattr(x, f) for f in type(x)._fields)
+
+
+def test_every_value_type_has_an_instance():
+    found, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("cantordyn."):
+                found.add(cls)
+    assert found == {type(x) for x in VALUES}
+    assert len(found) == len(VALUES) == 22
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_value_repr_names_class_and_fields(x):
+    cls = type(x)
+    if "__repr__" in vars(cls):
+        assert cls.__name__ in {"Clopen", "Point", "PrefixMap", "OpenDiffSet"}
+        assert repr(x).startswith(cls.__name__)
+    else:
+        fields = ", ".join(f"{f}={getattr(x, f)!r}" for f in cls._fields)
+        assert repr(x) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_value_equals_only_its_own_type(x):
+    fields = _fields(x)
+    assert type(x)(*fields) == x
+    annotations = dict.fromkeys(type(x)._fields)
+    twin = type("Twin", (Value,), {"__annotations__": annotations})(*fields)
+    assert _fields(twin) == fields
+    assert x != twin and twin != x
+    assert x != fields and fields != x
+    assert x.__eq__(fields) is NotImplemented
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_value_hash_is_the_field_tuple_hash(x):
+    fields = _fields(x)
+    try:
+        want = hash(fields)
+    except TypeError:  # a list or dict field: unhashable, like the fields
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == want
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_value_is_immutable(x):
+    fields = _fields(x)
+    name = type(x)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(x, name, None)
+    with pytest.raises(AttributeError):
+        setattr(x, "extra", None)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    assert _fields(x) == fields and not hasattr(x, "extra")
+
+
+@pytest.mark.parametrize("x", VALUES, ids=lambda x: type(x).__name__)
+def test_value_pickles(x):
+    y = pickle.loads(pickle.dumps(x))
+    assert type(y) is type(x) and y == x
+
+
+def test_value_constructor_arguments():
+    assert Signature() == Signature((), (2,)) == Signature(period=(2,)) == DYADIC
+    assert repr(Signature()) == "Signature(preperiod=(), period=(2,))"
+    assert eval(repr(Signature((3,), (2, 4)))) == Signature((3,), (2, 4))
+    with pytest.raises(ValueError):  # __post_init__ runs for keywords too
+        Signature(period=())
+    doc = df.Document(kind="clopen", value=Clopen.full(DYADIC))
+    assert doc.version == df.VERSION and doc == df.doc_clopen(Clopen.full(DYADIC))
+    assert Odometer(DYADIC).shift == 1
+    (c,) = [x for x in VALUES if type(x).__name__ == "Castle"]
+    assert type(c)(towers=c.towers, base=c.base, bound=c.bound) == c
+    with pytest.raises(TypeError):
+        Odometer()
+    with pytest.raises(TypeError):
+        Odometer(DYADIC, 1, 2)
+    with pytest.raises(TypeError):
+        Odometer(DYADIC, sift=1)
+
+
+def test_words_under_a_prefix():
+    sig = Signature((3,), (2,))
+    for t in range(4):
+        for u in sig.words(t):
+            assert sig.words(t + 2, u) == [w for w in sig.words(t + 2) if w[:t] == u]
+    assert sig.words(2, (1, 0)) == [(1, 0)]
