@@ -354,9 +354,7 @@ def cmd_rokhlin(args, out):
     sig = as_prefix_map(T).sig
     measures = [resolve_measure(m, sig) for m in args.measure]
     eps = _epsilon(args)
-    castle = rokhlin_castle(
-        T, args.n, measures, eps, period_bound=args.bound
-    )
+    castle = rokhlin_castle(T, args.n, measures, eps)
     towers = [(base, h) for base, h, _ in castle.towers]
     out.doc(df.doc_castle(sig, towers, castle.base, castle.bound))
     out.text(f"bound {min(castle.bound)} > {1 - eps}")
@@ -462,7 +460,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--measure", action="append", required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--bound", type=int, default=None)
 
     p = add("graph-dot", cmd_graph_dot, help="overlap graph as DOT text")
     p.add_argument("--target", required=True)

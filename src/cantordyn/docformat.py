@@ -4,6 +4,11 @@ A document is a self-describing single-line record, optionally preceded by a
 `cdyn 1` version header.  Printing always emits the header and the canonical
 body; parsing never canonicalizes silently, it rejects non-canonical input
 with the violated rule named.  The grammar lives in docs/format.md.
+
+body_fields describes each document kind once: the text and the JSON mirror
+are both written from it.  The parser reads every bracketed list with
+_Parser.seq, and a list that must be sorted is compared with the order its
+canonical constructor builds.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from .space import (
     Point,
     Signature,
     Value,
-    is_prefix,
+    canonical_words,
     point_text,
     word_text,
     wordset_text,
 )
-from .measure import Dirac, Mixture, ProductMeasure
+from .measure import Dirac, Mixture, ProductMeasure, measure_text
 from .homeo import Odometer, PrefixMap, branches_text
 from .topology import (
     BarPNeighborhood,
@@ -35,16 +40,6 @@ VERSION = 1
 # numbers and words are ASCII; str.isdigit would also pass digits that int()
 # rejects (superscripts) or reads silently (other scripts)
 DIGITS = "0123456789"
-
-KINDS = (
-    "signature",
-    "clopen",
-    "measure",
-    "homeo",
-    "neighborhood",
-    "castle",
-    "certificate",
-)
 
 
 class CastleDoc(Value):
@@ -85,73 +80,11 @@ def sig_text(sig):
     return f"base({pre};{per})"
 
 
-def _all_rows_uniform(mu):
-    rows = mu.preweights + mu.cycleweights
-    return all(x * len(row) == 1 for row in rows for x in row)
-
-
-def measure_text(mu):
-    sig = mu.sig
-    if isinstance(mu, ProductMeasure):
-        if _all_rows_uniform(mu):
-            return "uniform"
-        pre = ";".join(",".join(str(x) for x in row) for row in mu.preweights)
-        cyc = ";".join(",".join(str(x) for x in row) for row in mu.cycleweights)
-        return f"product[{pre}|{cyc}]"
-    if isinstance(mu, Dirac):
-        return f"dirac {point_text(sig, mu.atom)}"
-    if isinstance(mu, Mixture):
-        parts = [f"{w} {measure_text(m)}" for w, m in mu.components]
-        return "mix(" + " + ".join(parts) + ")"
-    raise TypeError(f"unknown measure kind {type(mu).__name__}")
-
-
 def homeo_text(h):
     if isinstance(h, Odometer):
         return f"odometer {sig_text(h.sig)} {h.shift}"
     kind = "tree-pair" if h.is_tree_pair else "shift-pair"
     return f"{kind} {sig_text(h.sig)} {{{branches_text(h.sig, h.branches)}}}"
-
-
-def _body_text(doc):
-    kind, v = doc.kind, doc.value
-    if kind == "signature":
-        return f"signature {sig_text(v)}"
-    if kind == "clopen":
-        return f"clopen {sig_text(v.sig)} {wordset_text(v.sig, v)}"
-    if kind == "measure":
-        return f"measure {sig_text(v.sig)} {measure_text(v)}"
-    if kind == "homeo":
-        return f"homeo {homeo_text(v)}"
-    if kind == "neighborhood":
-        base = f"({homeo_text(v.base)})"
-        sig = v.base.sig
-        if isinstance(v, WeakBall):
-            return f"neighborhood weak {v.radius} {base}"
-        if isinstance(v, PNeighborhood):
-            sets = ", ".join(wordset_text(sig, F) for F in v.sets)
-            return f"neighborhood p {base} [{sets}]"
-        if isinstance(v, UniformNeighborhood):
-            mus = ", ".join(f"({measure_text(m)})" for m in v.measures)
-            return f"neighborhood uniform {v.epsilon} {base} [{mus}]"
-        if isinstance(v, BarPNeighborhood):
-            sets = ", ".join(wordset_text(sig, F) for F in v.sets)
-            mus = ", ".join(f"({measure_text(m)})" for m in v.measures)
-            return f"neighborhood barp {v.epsilon} {base} [{sets}] [{mus}]"
-        raise TypeError(f"unknown neighborhood kind {type(v).__name__}")
-    if kind == "castle":
-        tws = ", ".join(
-            f"({wordset_text(v.sig, b)}, {h})" for b, h in v.towers
-        )
-        bnd = ", ".join(str(x) for x in v.bound)
-        return (
-            f"castle {sig_text(v.sig)} towers[{tws}] "
-            f"base {wordset_text(v.sig, v.base)} bound [{bnd}]"
-        )
-    if kind == "certificate":
-        items = ", ".join(f"{k} {_cert_value_text(v.sig, x)}" for k, x in v.entries)
-        return f"certificate {sig_text(v.sig)} {v.name} {{{items}}}"
-    raise ValueError(f"unknown document kind {kind}")
 
 
 def _cert_value_text(sig, x):
@@ -166,57 +99,84 @@ def _cert_value_text(sig, x):
     raise TypeError(f"unsupported certificate value {x!r}")
 
 
+_TOPOLOGIES = {
+    WeakBall: "weak",
+    PNeighborhood: "p",
+    UniformNeighborhood: "uniform",
+    BarPNeighborhood: "barp",
+}
+
+
+def _same(key, text):
+    """A field whose JSON value is its text."""
+    return key, text, text
+
+
+def _listed(texts, open_="[", close="]"):
+    return open_ + ", ".join(texts) + close
+
+
+def _words(sig, A):
+    return [word_text(sig, w) for w in A.words]
+
+
+def body_fields(doc):
+    """(JSON key, JSON value, text) of each field of the body, in text order.
+
+    The printed body is the kind followed by the texts, and the JSON mirror
+    is the version, the kind and the keyed values.
+    """
+    v = doc.value
+    if doc.kind == "homeo":
+        return [_same("homeo", homeo_text(v))]
+    if doc.kind == "neighborhood":
+        sig, base = v.base.sig, homeo_text(v.base)
+        fields = [_same("topology", _TOPOLOGIES[type(v)])]
+        for k in ("radius", "epsilon"):
+            if k in v._fields:
+                fields.append(_same(k, str(getattr(v, k))))
+        fields.append(("base", base, f"({base})"))
+        if "sets" in v._fields:
+            sets = [wordset_text(sig, F) for F in v.sets]
+            fields.append(("sets", sets, _listed(sets)))
+        if "measures" in v._fields:
+            mus = [measure_text(m) for m in v.measures]
+            fields.append(("measures", mus, _listed(f"({m})" for m in mus)))
+        return fields
+    sig = v if doc.kind == "signature" else v.sig
+    fields = [_same("signature", sig_text(sig))]
+    if doc.kind == "clopen":
+        fields.append(("words", _words(sig, v), wordset_text(sig, v)))
+    elif doc.kind == "measure":
+        fields.append(_same("measure", measure_text(v)))
+    elif doc.kind == "castle":
+        towers = [{"base": _words(sig, b), "height": h} for b, h in v.towers]
+        tws = (f"({wordset_text(sig, b)}, {h})" for b, h in v.towers)
+        bound = [str(x) for x in v.bound]
+        fields += [
+            ("towers", towers, _listed(tws, "towers[")),
+            ("base", _words(sig, v.base), "base " + wordset_text(sig, v.base)),
+            ("bound", bound, "bound " + _listed(bound)),
+        ]
+    elif doc.kind == "certificate":
+        entries = [(k, _cert_value_text(sig, x)) for k, x in v.entries]
+        items = (f"{k} {text}" for k, text in entries)
+        fields += [
+            _same("name", v.name),
+            ("entries", dict(entries), _listed(items, "{", "}")),
+        ]
+    return fields
+
+
 def print_document(doc):
-    return f"cdyn {doc.version}\n{_body_text(doc)}\n"
-
-
-# -- JSON mirror -----------------------------------------------------------------
+    body = " ".join(text for _, _, text in body_fields(doc))
+    return f"cdyn {doc.version}\n{doc.kind} {body}\n"
 
 
 def document_json(doc):
     """Field-for-field JSON-ready mirror of the text document."""
-    v = doc.value
-    out = {"version": doc.version, "kind": doc.kind}
-    if doc.kind == "signature":
-        out["signature"] = sig_text(v)
-    elif doc.kind == "clopen":
-        out["signature"] = sig_text(v.sig)
-        out["words"] = [word_text(v.sig, w) for w in v.words]
-    elif doc.kind == "measure":
-        out["signature"] = sig_text(v.sig)
-        out["measure"] = measure_text(v)
-    elif doc.kind == "homeo":
-        out["homeo"] = homeo_text(v)
-    elif doc.kind == "neighborhood":
-        sig = v.base.sig
-        out["base"] = homeo_text(v.base)
-        if isinstance(v, WeakBall):
-            out["topology"] = "weak"
-            out["radius"] = str(v.radius)
-        elif isinstance(v, PNeighborhood):
-            out["topology"] = "p"
-            out["sets"] = [wordset_text(sig, F) for F in v.sets]
-        elif isinstance(v, UniformNeighborhood):
-            out["topology"] = "uniform"
-            out["epsilon"] = str(v.epsilon)
-            out["measures"] = [measure_text(m) for m in v.measures]
-        else:
-            out["topology"] = "barp"
-            out["epsilon"] = str(v.epsilon)
-            out["sets"] = [wordset_text(sig, F) for F in v.sets]
-            out["measures"] = [measure_text(m) for m in v.measures]
-    elif doc.kind == "castle":
-        out["signature"] = sig_text(v.sig)
-        out["towers"] = [
-            {"base": [word_text(v.sig, w) for w in b.words], "height": h}
-            for b, h in v.towers
-        ]
-        out["base"] = [word_text(v.sig, w) for w in v.base.words]
-        out["bound"] = [str(x) for x in v.bound]
-    elif doc.kind == "certificate":
-        out["signature"] = sig_text(v.sig)
-        out["name"] = v.name
-        out["entries"] = {k: _cert_value_text(v.sig, x) for k, x in v.entries}
+    out = {key: value for key, value, _ in body_fields(doc)}
+    out.update(version=doc.version, kind=doc.kind)
     return out
 
 
@@ -253,6 +213,19 @@ class _Parser:
     def lit(self, s):
         if not self.try_lit(s):
             self.error(f"expected {s!r}")
+
+    def seq(self, open_, close, item, sep=","):
+        """The items read by item() between open_ and close, separated by
+        sep; [] for an empty list."""
+        self.lit(open_)
+        out = []
+        if self.try_lit(close):
+            return out
+        while True:
+            out.append(item())
+            if self.try_lit(close):
+                return out
+            self.lit(sep)
 
     def ident(self):
         self.ws()
@@ -340,48 +313,28 @@ class _Parser:
         return w
 
     def wordset(self, sig):
-        self.lit("{")
-        words = []
-        self.ws()
-        if not self.try_lit("}"):
-            while True:
-                words.append(self.word(sig))
-                if self.try_lit("}"):
-                    break
-                self.lit(",")
-        self._check_canonical_words(sig, words)
-        return Clopen(sig, tuple(words))
-
-    def _check_canonical_words(self, sig, words):
-        seen = set()
-        for w in words:
-            if w in seen:
-                self.error(f"not canonical: duplicate-word {word_text(sig, w)}")
-            seen.add(w)
-        if words != sorted(words):
-            self.error("not canonical: not-sorted")
-        for i, a in enumerate(words):
-            for b in words[i + 1 :]:
-                if is_prefix(a, b) or is_prefix(b, a):
-                    self.error("not canonical: not-prefix-free")
-        prefixes = {}
-        for w in words:
-            if w:
-                prefixes.setdefault(w[:-1], set()).add(w[-1])
-        for p, ds in prefixes.items():
-            if len(ds) == sig.level(len(p)):
-                self.error("not canonical: sibling-complete")
+        words = self.seq("{", "}", lambda: self.word(sig))
+        # in a sorted list a word and its extensions are neighbours
+        for a, b in zip(words, words[1:]):
+            if a == b:
+                self.error(f"not canonical: duplicate-word {word_text(sig, a)}")
+            if b < a:
+                self.error("not canonical: not-sorted")
+            if b[: len(a)] == a:
+                self.error("not canonical: not-prefix-free")
+        words = tuple(words)
+        if canonical_words(sig, words) != words:
+            self.error("not canonical: sibling-complete")
+        return Clopen(sig, words)
 
     def point(self, sig):
         self.ws()
         head = ()
         if not self.peek("("):
             head = self.word(sig)
-        self.lit("(")
         # the cycle rides at the head's depth; Point.make checks digit ranges
         # over every level the stream occupies
-        cycle = self.word(sig, validate=False)
-        self.lit(")")
+        cycle = self._paren(lambda: self.word(sig, validate=False))
         try:
             x = Point.make(sig, head, cycle)
         except ValueError as e:
@@ -403,30 +356,28 @@ class _Parser:
                 mu = ProductMeasure.make(sig, pre, cyc)
             except ValueError as e:
                 self.error(str(e))
-            if _all_rows_uniform(mu):
+            if mu.all_rows_uniform():
                 self.error("not canonical: product-is-uniform")
             return mu
         if self.try_lit("dirac"):
             return Dirac(sig, self.point(sig))
-        if self.try_lit("mix("):
-            comps = []
-            while True:
-                w = self.frac()
-                m = self.measure(sig)
-                if isinstance(m, Mixture):
-                    self.error("nested mixtures are not allowed")
-                comps.append((w, m))
-                if self.try_lit(")"):
-                    break
-                self.lit("+")
-            rendered = [measure_text(m) for _, m in comps]
-            if rendered != sorted(rendered):
-                self.error("not canonical: mix-not-sorted")
+        if self.peek("mix("):
+            comps = self.seq("mix(", ")", lambda: self._component(sig), "+")
             try:
-                return Mixture.make(sig, comps)
+                mix = Mixture.make(sig, comps)
             except ValueError as e:
                 self.error(str(e))
+            if mix.components != tuple(comps):
+                self.error("not canonical: mix-not-sorted")
+            return mix
         self.error("expected a measure expression")
+
+    def _component(self, sig):
+        w = self.frac()
+        m = self.measure(sig)
+        if isinstance(m, Mixture):
+            self.error("nested mixtures are not allowed")
+        return w, m
 
     def _weight_rows(self, stop):
         rows = []
@@ -441,41 +392,15 @@ class _Parser:
             self.ws()
         return rows
 
-    def _arrow(self):
-        self.ws()
-        if self.try_lit("->") or self.try_lit("→"):
-            return
-        self.error("expected '->'")
-
     def homeo(self):
         self.ws()
         if self.try_lit("odometer"):
-            sig = self.sig()
-            k = self.int_()
-            return Odometer(sig, k)
-        shifted = False
-        if self.try_lit("tree-pair"):
-            pass
-        elif self.try_lit("shift-pair"):
-            shifted = True
-        else:
+            return Odometer(self.sig(), self.int_())
+        shifted = self.try_lit("shift-pair")
+        if not shifted and not self.try_lit("tree-pair"):
             self.error("expected tree-pair, shift-pair or odometer")
         sig = self.sig()
-        self.lit("{")
-        branches = []
-        while True:
-            u = self.word(sig)
-            self._arrow()
-            v = self.word(sig)
-            c = 0
-            if shifted:
-                self.ws()
-                if self.peek("+") or self.peek("-"):
-                    c = self.int_()
-            branches.append((u, v, c))
-            if self.try_lit("}"):
-                break
-            self.lit(",")
+        branches = self.seq("{", "}", lambda: self._branch(sig, shifted))
         if shifted and all(c == 0 for _, _, c in branches):
             self.error("not canonical: shift-pair-degenerate (use tree-pair)")
         try:
@@ -486,108 +411,72 @@ class _Parser:
             self.error("not canonical: branches-not-canonical")
         return pm
 
-    def paren_homeo(self):
+    def _branch(self, sig, shifted):
+        u = self.word(sig)
+        if not (self.try_lit("->") or self.try_lit("→")):
+            self.error("expected '->'")
+        v = self.word(sig)
+        self.ws()
+        c = self.int_() if shifted and (self.peek("+") or self.peek("-")) else 0
+        return u, v, c
+
+    def _paren(self, item):
         self.lit("(")
-        h = self.homeo()
+        x = item()
         self.lit(")")
-        return h
+        return x
 
     def neighborhood(self):
         topo = self.ident()
-        if topo == "weak":
-            r = self.frac()
-            base = self.paren_homeo()
-            return WeakBall(base, r)
-        if topo == "p":
-            base = self.paren_homeo()
-            sig = base.sig
-            sets = self._bracket_list(lambda: self.wordset(sig))
-            self._check_sorted([wordset_text(sig, F) for F in sets])
-            return PNeighborhood(base, tuple(sets))
-        if topo == "uniform":
-            eps = self.frac()
-            base = self.paren_homeo()
-            sig = base.sig
-            mus = self._bracket_list(lambda: self._paren_measure(sig))
-            self._check_sorted([measure_text(m) for m in mus])
-            return UniformNeighborhood(base, tuple(mus), eps)
-        if topo == "barp":
-            eps = self.frac()
-            base = self.paren_homeo()
-            sig = base.sig
-            sets = self._bracket_list(lambda: self.wordset(sig))
-            self._check_sorted([wordset_text(sig, F) for F in sets])
-            mus = self._bracket_list(lambda: self._paren_measure(sig))
-            self._check_sorted([measure_text(m) for m in mus])
-            return BarPNeighborhood(base, tuple(sets), tuple(mus), eps)
-        self.error(f"unknown neighborhood topology {topo!r}")
-
-    def _paren_measure(self, sig):
-        self.lit("(")
-        m = self.measure(sig)
-        self.lit(")")
-        return m
-
-    def _bracket_list(self, item):
-        self.lit("[")
-        out = []
-        if not self.try_lit("]"):
-            while True:
-                out.append(item())
-                if self.try_lit("]"):
-                    break
-                self.lit(",")
-        return out
-
-    def _check_sorted(self, rendered):
-        if rendered != sorted(rendered):
+        types = {name: t for t, name in _TOPOLOGIES.items()}
+        if topo not in types:
+            self.error(f"unknown neighborhood topology {topo!r}")
+        t = types[topo]
+        # the fields in text order, as body_fields prints them
+        got = {k: self.frac() for k in ("radius", "epsilon") if k in t._fields}
+        base = got["base"] = self._paren(self.homeo)
+        if "sets" in t._fields:
+            got["sets"] = tuple(self.seq("[", "]", lambda: self.wordset(base.sig)))
+        if "measures" in t._fields:
+            got["measures"] = tuple(
+                self.seq("[", "]", lambda: self._paren(lambda: self.measure(base.sig)))
+            )
+        n = t(**got)
+        if doc_neighborhood(n).value != n:
             self.error("not canonical: list-not-sorted")
+        return n
 
     def castle(self):
         sig = self.sig()
-        self.lit("towers[")
-        towers = []
-        while True:
-            self.lit("(")
-            b = self.wordset(sig)
-            self.lit(",")
-            h = self.int_()
-            if h < 1:
-                self.error("tower height must be positive")
-            self.lit(")")
-            towers.append((b, h))
-            if self.try_lit("]"):
-                break
-            self.lit(",")
-        self._check_sorted([wordset_text(sig, b) for b, _ in towers])
+        towers = self.seq("towers[", "]", lambda: self._tower(sig))
+        if not towers:
+            self.error("a castle needs a tower")
         self.lit("base")
         base = self.wordset(sig)
         self.lit("bound")
-        self.lit("[")
-        bound = []
-        if not self.try_lit("]"):
-            while True:
-                bound.append(self.frac())
-                if self.try_lit("]"):
-                    break
-                self.lit(",")
-        return CastleDoc(sig, tuple(towers), base, tuple(bound))
+        castle = doc_castle(sig, towers, base, self.seq("[", "]", self.frac)).value
+        if castle.towers != tuple(towers):
+            self.error("not canonical: list-not-sorted")
+        return castle
+
+    def _tower(self, sig):
+        self.lit("(")
+        b = self.wordset(sig)
+        self.lit(",")
+        h = self.int_()
+        if h < 1:
+            self.error("tower height must be positive")
+        self.lit(")")
+        return b, h
 
     def certificate(self):
         sig = self.sig()
         name = self.ident()
-        self.lit("{")
-        entries = []
-        if not self.try_lit("}"):
-            while True:
-                key = self.ident()
-                entries.append((key, self.cert_value(sig)))
-                if self.try_lit("}"):
-                    break
-                self.lit(",")
-        if [k for k, _ in entries] != sorted(k for k, _ in entries):
+        entries = self.seq("{", "}", lambda: (self.ident(), self.cert_value(sig)))
+        cert = doc_certificate(sig, name, entries).value
+        if cert.entries != tuple(entries):
             self.error("not canonical: certificate-keys-not-sorted")
-        return CertificateDoc(sig, name, tuple(entries))
+        return cert
 
     def cert_value(self, sig):
         self.ws()
@@ -602,47 +491,41 @@ class _Parser:
         return self.frac()
 
 
+_BODIES = {
+    "signature": _Parser.sig,
+    "clopen": lambda p: p.wordset(p.sig()),
+    "measure": lambda p: p.measure(p.sig()),
+    "homeo": _Parser.homeo,
+    "neighborhood": _Parser.neighborhood,
+    "castle": _Parser.castle,
+    "certificate": _Parser.certificate,
+}
+KINDS = tuple(_BODIES)
+
+
 def parse(text):
     """Parse a .cdyn document; never canonicalizes, rejects with the rule named."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DocumentError("empty document")
-    version = VERSION
     body_line = 1
-    if lines[0].split() and lines[0].split()[0] == "cdyn":
-        fields = lines[0].split()
-        if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
+    header = lines[0].split()
+    if header[:1] == ["cdyn"]:
+        if len(header) != 2 or not header[1].isascii() or not header[1].isdigit():
             raise DocumentError("malformed version header", line=1)
-        version = int(fields[1])
-        if version != VERSION:
-            raise DocumentError(f"unsupported version {version}", line=1)
-        lines = lines[1:]
-        body_line = 2
+        if int(header[1]) != VERSION:
+            raise DocumentError(f"unsupported version {int(header[1])}", line=1)
+        lines, body_line = lines[1:], 2
     if len(lines) != 1:
         raise DocumentError("expected a single body line", line=body_line)
     p = _Parser(lines[0], line=body_line)
     kind = p.ident()
-    if kind not in KINDS:
+    if kind not in _BODIES:
         p.error(f"unknown document kind {kind!r}")
-    if kind == "signature":
-        value = p.sig()
-    elif kind == "clopen":
-        sig = p.sig()
-        value = p.wordset(sig)
-    elif kind == "measure":
-        sig = p.sig()
-        value = p.measure(sig)
-    elif kind == "homeo":
-        value = p.homeo()
-    elif kind == "neighborhood":
-        value = p.neighborhood()
-    elif kind == "castle":
-        value = p.castle()
-    else:
-        value = p.certificate()
+    value = _BODIES[kind](p)
     if not p.eof():
         p.error("trailing input after document body")
-    return Document(kind=kind, value=value, version=version)
+    return Document(kind, value)
 
 
 # -- document constructors -------------------------------------------------------
@@ -657,9 +540,6 @@ def doc_clopen(A):
 
 
 def doc_measure(mu):
-    if isinstance(mu, Mixture):
-        comps = tuple(sorted(mu.components, key=lambda wm: measure_text(wm[1])))
-        mu = Mixture(mu.sig, comps)
     return Document("measure", mu)
 
 
@@ -668,18 +548,14 @@ def doc_homeo(h):
 
 
 def doc_neighborhood(n):
+    """The neighborhood with its sets and measures in rendered order."""
     sig = n.base.sig
-    if isinstance(n, PNeighborhood):
-        sets = tuple(sorted(n.sets, key=lambda F: wordset_text(sig, F)))
-        n = PNeighborhood(n.base, sets)
-    elif isinstance(n, UniformNeighborhood):
-        mus = tuple(sorted(n.measures, key=measure_text))
-        n = UniformNeighborhood(n.base, mus, n.epsilon)
-    elif isinstance(n, BarPNeighborhood):
-        sets = tuple(sorted(n.sets, key=lambda F: wordset_text(sig, F)))
-        mus = tuple(sorted(n.measures, key=measure_text))
-        n = BarPNeighborhood(n.base, sets, mus, n.epsilon)
-    return Document("neighborhood", n)
+    fields = {f: getattr(n, f) for f in n._fields}
+    if "sets" in fields:
+        fields["sets"] = tuple(sorted(n.sets, key=lambda F: wordset_text(sig, F)))
+    if "measures" in fields:
+        fields["measures"] = tuple(sorted(n.measures, key=measure_text))
+    return Document("neighborhood", type(n)(**fields))
 
 
 def doc_castle(sig, towers, base, bound):
@@ -688,5 +564,6 @@ def doc_castle(sig, towers, base, bound):
 
 
 def doc_certificate(sig, name, entries):
-    items = tuple(sorted(entries.items() if isinstance(entries, dict) else entries))
+    items = entries.items() if isinstance(entries, dict) else entries
+    items = tuple(sorted(items, key=lambda kv: kv[0]))
     return Document("certificate", CertificateDoc(sig, name, items))

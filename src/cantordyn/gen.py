@@ -61,12 +61,9 @@ def random_measure(rng, sig):
         return random_product(rng, sig)
     if c == 2:
         return Dirac(sig, random_point(rng, sig))
-    parts = [ProductMeasure.uniform(sig), Dirac(sig, random_point(rng, sig))]
+    atom = Dirac(sig, random_point(rng, sig))
     w = Fraction(rng.randint(1, 3), 4)
-    comps = sorted(
-        [(w, parts[0]), (1 - w, parts[1])], key=lambda wm: df.measure_text(wm[1])
-    )
-    return Mixture.make(sig, comps)
+    return Mixture.make(sig, [(w, ProductMeasure.uniform(sig)), (1 - w, atom)])
 
 
 def random_homeo(rng, sig, depth=3, as_map=True):

@@ -36,6 +36,7 @@ from .space import (
     Point,
     Signature,
     Value,
+    _intersection,
     canonical_words,
     is_prefix,
     lcp_len,
@@ -111,12 +112,12 @@ class PrefixMap(Value):
     def _validate(self):
         sig = self.sig
         dom = [u for u, _, _ in self.branches]
-        rng = [v for _, v, _ in self.branches]
+        rng = sorted(v for _, v, _ in self.branches)
         for ws, name in ((dom, "domain"), (rng, "range")):
-            for i, a in enumerate(ws):
-                for b in ws[i + 1 :]:
-                    if is_prefix(a, b) or is_prefix(b, a):
-                        raise ValueError(f"{name} words overlap: {a}, {b}")
+            # in a sorted list a word and its extensions are neighbours
+            for a, b in zip(ws, ws[1:]):
+                if b[: len(a)] == a:
+                    raise ValueError(f"{name} words overlap: {a}, {b}")
             if canonical_words(sig, ws) != ((),):
                 raise ValueError(f"{name} words do not cover the space")
         for u, v, c in self.branches:
@@ -315,16 +316,36 @@ def invert_branches(branches):
     return [(v, u, -c) for u, v, c in branches]
 
 
+def refine_to(sig, branches, words):
+    """The branches of a fragment restricted to the cylinders of words.
+
+    The branches are sorted with prefix-free domains, and the words are
+    sorted and prefix-free.  The pieces are space._intersection of the
+    domains and the words; each lies under the branch of the piece before
+    it or a later one, so one forward walk refines them all.
+    """
+    out = []
+    i = 0
+    for w in _intersection([u for u, _, _ in branches], words):
+        while w[: len(branches[i][0])] != branches[i][0]:
+            i += 1
+        out.append(refine_branch(sig, branches[i], w))
+    return out
+
+
 def common_refinement(S, T):
     """Branch pairs of S and T over a common domain cylinder partition.
 
-    Returns a list of (w, (v1, c1), (v2, c2)).
+    The cells are the longer word of each comparable pair of domain words,
+    so there are fewer of them than branches of S and T together.  Returns
+    a list of (w, (v1, c1), (v2, c2)).
     """
-    depth = max(S.max_domain_depth(), T.max_domain_depth())
-    ws = S.sig.words(depth)
-    sb = {u: (v, c) for u, v, c in S.table(depth)}
-    tb = {u: (v, c) for u, v, c in T.table(depth)}
-    return [(w, sb[w], tb[w]) for w in ws]
+    s_cells = refine_to(S.sig, S.branches, [u for u, _, _ in T.branches])
+    t_cells = refine_to(T.sig, T.branches, [w for w, _, _ in s_cells])
+    return [
+        (w, (v1, c1), (v2, c2))
+        for (w, v1, c1), (_, v2, c2) in zip(s_cells, t_cells)
+    ]
 
 
 def _cells(S, T):

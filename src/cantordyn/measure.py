@@ -3,13 +3,17 @@
 Three families, each exactly evaluable on clopen sets: product measures with
 eventually periodic level weights, Dirac measures at eventually periodic
 points, and finite convex mixtures of the other two.  No floating point.
+
+measure_text is the one notation for measures, as space.word_text is for
+words: the .cdyn documents print with it, and Mixture.make sorts its
+components by it, so a mixture is canonical as built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .space import Point, Value
+from .space import Point, Value, point_text
 
 
 def _check_weights(sig, rows, where):
@@ -64,6 +68,10 @@ class ProductMeasure(Value):
         _check_weights(sig, [m.row(t) for t in range(horizon)], "product")
         return m
 
+    def all_rows_uniform(self):
+        rows = self.preweights + self.cycleweights
+        return all(x * len(row) == 1 for row in rows for x in row)
+
     def row(self, t):
         if t < len(self.preweights):
             return self.preweights[t]
@@ -108,11 +116,16 @@ class Dirac(Value):
 
 class Mixture(Value):
     sig: object
-    components: tuple  # of (Fraction weight, measure)
+    components: tuple  # of (Fraction weight, measure), sorted by measure_text
 
     @staticmethod
     def make(sig, components):
-        comps = tuple((Fraction(w), m) for w, m in components)
+        comps = tuple(
+            sorted(
+                ((Fraction(w), m) for w, m in components),
+                key=lambda wm: measure_text(wm[1]),
+            )
+        )
         if any(w <= 0 for w, _ in comps):
             raise ValueError("mixture weights must be positive")
         if sum(w for w, _ in comps) != 1:
@@ -124,6 +137,21 @@ class Mixture(Value):
 
     def point_mass(self, x):
         return sum((w * m.point_mass(x) for w, m in self.components), Fraction(0))
+
+
+def measure_text(mu):
+    if isinstance(mu, ProductMeasure):
+        if mu.all_rows_uniform():
+            return "uniform"
+        pre = ";".join(",".join(str(x) for x in row) for row in mu.preweights)
+        cyc = ";".join(",".join(str(x) for x in row) for row in mu.cycleweights)
+        return f"product[{pre}|{cyc}]"
+    if isinstance(mu, Dirac):
+        return f"dirac {point_text(mu.sig, mu.atom)}"
+    if isinstance(mu, Mixture):
+        parts = [f"{w} {measure_text(m)}" for w, m in mu.components]
+        return "mix(" + " + ".join(parts) + ")"
+    raise TypeError(f"unknown measure kind {type(mu).__name__}")
 
 
 def measure_of(mu, A):

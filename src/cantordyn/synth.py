@@ -23,7 +23,7 @@ from .homeo import (
     inf_pointwise_distance,
     invert_branches,
     period_structure,
-    refine_branch,
+    refine_to,
     weak_distance,
 )
 
@@ -69,12 +69,7 @@ def canonical_clopen_homeo(A, B):
 
 def restrict_fragment(sig, branches, A):
     """Branches of the fragment restricted to domain pieces inside A."""
-    out = []
-    for u, v, c in branches:
-        part = Clopen(sig, (u,)) & A
-        for w in part.words:
-            out.append(refine_branch(sig, (u, v, c), w))
-    return sorted(out)
+    return refine_to(sig, branches, A.words)
 
 
 # -- overlap graphs and circulations ------------------------------------------
@@ -660,7 +655,19 @@ def _sliced_castle(towers0, n, measures):
     return Clopen.make(sig, words), bounds
 
 
-def rokhlin_castle(T, n, measures, epsilon, period_bound=None):
+def _refuse_periods(Tm, bound):
+    """Raise ValueError naming the first periodic part or point of period
+    at most bound, clopen parts first."""
+    info = period_structure(Tm, bound)
+    for q, part in info["exact_period_parts"].items():
+        if not part.is_empty:
+            raise ValueError(f"periodic points of period {q} found: {part}")
+    for q, pts in info["isolated_periodic_points"].items():
+        if pts:
+            raise ValueError(f"periodic point of period {q} found: {pts[0]}")
+
+
+def rokhlin_castle(T, n, measures, epsilon):
     """Clopen castle of height >= n towers with the marked-base measure bound.
 
     Searches cover depths upward.  At each depth a first pass builds return
@@ -681,15 +688,7 @@ def rokhlin_castle(T, n, measures, epsilon, period_bound=None):
         raise ValueError(f"n must be positive, got {n}")
     Tm = as_prefix_map(T)
     epsilon = _positive(epsilon)
-    bound_n = period_bound if period_bound is not None else n
-    info = period_structure(Tm, bound_n)
-    if not info["aperiodic_up_to_bound"]:
-        for q, part in info["exact_period_parts"].items():
-            if not part.is_empty:
-                raise ValueError(f"periodic points of period {q} found: {part}")
-        for q, pts in info["isolated_periodic_points"].items():
-            if pts:
-                raise ValueError(f"periodic point of period {q} found: {pts[0]}")
+    _refuse_periods(Tm, n)
     slices = max(2, int(len(measures) / epsilon) + 1)
     Tinv = Tm.inverse()
     last_diag = None
@@ -737,10 +736,13 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon):
     """
     Tm = as_prefix_map(T)
     epsilon = _positive(epsilon)
+    # with each castle's own refusal of periods up to n, periods up to
+    # max(8, n) are refused at every height
+    _refuse_periods(Tm, 8)
     n = 2
     last = None
     while n <= 4096:
-        castle = rokhlin_castle(Tm, n, measures, Fraction(1, 2), period_bound=max(8, n))
+        castle = rokhlin_castle(Tm, n, measures, Fraction(1, 2))
         towers = castle.towers
         sig = Tm.sig
         branches = []

@@ -48,6 +48,47 @@ def test_member_exit_codes(capsys):
     assert code == 2 and "member false" in out
 
 
+SWAP_BASE = "(tree-pair dyadic {0->1, 1->0})"
+ID_BASE = "(tree-pair dyadic {e->e})"
+
+
+@pytest.mark.parametrize(
+    "topology,code,entries",
+    [
+        (f"p {ID_BASE} [{{0}}]", 2, "member false, mismatch_0 {0}"),
+        (f"p {SWAP_BASE} [{{0}}, {{1}}]", 0, "member true"),
+        (
+            f"uniform 1/2 {ID_BASE} [(dirac (0)), (uniform)]",
+            2,
+            "mass_0 1, mass_1 1, member false",
+        ),
+        (
+            f"uniform 1/2 {SWAP_BASE} [(dirac (0)), (uniform)]",
+            0,
+            "mass_0 0, mass_1 0, member true",
+        ),
+        (f"barp 1/2 {ID_BASE} [{{0}}] [(uniform)]", 2, "max_defect 2, member false"),
+        (f"barp 1/2 {SWAP_BASE} [{{0}}] [(uniform)]", 0, "max_defect 0, member true"),
+    ],
+)
+def test_member_of_set_and_measure_neighborhoods(capsys, topology, code, entries):
+    got, out, _ = run(capsys, "member", "swap", f"neighborhood {topology}")
+    assert got == code
+    assert out == f"cdyn 1\ncertificate dyadic membership {{{entries}}}\n"
+
+
+@pytest.mark.parametrize("kind,value", [("tau-prime", "1"), ("bar-tau", "0")])
+def test_defect(capsys, kind, value):
+    code, out, _ = run(
+        capsys,
+        "defect", "swap", "id",
+        "--measure", "uniform",
+        "--partition", "{0},{1}",
+        "--kind", kind,
+    )
+    assert code == 0 and out == value + "\n"
+
+
 def test_compose_and_tabulate(capsys):
     code, out, _ = run(capsys, "compose", "swap", "swap")
     assert code == 0
@@ -65,6 +106,14 @@ def test_diff_and_periods(capsys):
     assert "aperiodic false" in out and "period_2 {e}" in out
     code, out, _ = run(capsys, "periods", "odometer:dyadic")
     assert code == 0 and "aperiodic true" in out
+
+
+def test_periods_of_a_map_that_is_not_synchronous(capsys):
+    # the cells follow the branches, not the 2^129 words of depth 129
+    code, out, _ = run(capsys, "periods", DISS_DOC, "--bound", "128")
+    assert code == 0
+    assert "aperiodic false, isolated_1_0 point (0), isolated_1_1 point (1)" in out
+    assert "period_128 {}" in out and "residual {e}" in out
 
 
 def test_fullgroup(capsys):

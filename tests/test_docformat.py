@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -64,6 +66,18 @@ def test_clopen_and_measure_documents():
     assert roundtrip(doc_measure(d)) == "cdyn 1\nmeasure dyadic dirac 0(1)\n"
     mix = Mixture.make(SIG, [(Fraction(1, 4), d), (Fraction(3, 4), mu)])
     roundtrip(doc_measure(mix))
+
+
+def test_mixtures_are_canonical_as_built():
+    uni = ProductMeasure.uniform(SIG)
+    dirac = Dirac(SIG, Point.make(SIG, (), (0,)))
+    half = Fraction(1, 2)
+    mix = Mixture.make(SIG, [(half, uni), (half, dirac)])
+    assert mix == Mixture.make(SIG, [(half, dirac), (half, uni)])
+    assert doc_measure(mix).value == mix
+    n = doc_neighborhood(UniformNeighborhood(Odometer(SIG, 1), (mix,), Fraction(1, 4)))
+    text = roundtrip(n)
+    assert "[(mix(1/2 dirac (0) + 1/2 uniform))]" in text
 
 
 def test_homeo_documents():
@@ -197,20 +211,32 @@ def test_error_carries_position():
     assert e.value.col is not None
 
 
+# sha256 of the text and sorted-key JSON of the 300 documents below, and of
+# the fuzz outcomes (each accepted document's text, or `rejected`), as first
+# recorded; a change of either document boundary changes them
+ROUNDTRIP_SHA256 = "dbbac0af4ca50e0f2430fc1dece624fa23af7423d69119645e181cd6977c2af9"
+FUZZ_SHA256 = "bdf80079c3c693f1d77825166a026f1061f29af3c3658d48da3c27f1b9c960dc"
+
+
 def test_random_documents_roundtrip():
     rng = random.Random(99)
+    h = hashlib.sha256()
     for _ in range(300):
         doc = random_document(rng)
         text = print_document(doc)
         assert parse(text) == doc
         j = document_json(doc)
         assert j["kind"] == doc.kind and j["version"] == 1
+        h.update(text.encode())
+        h.update(json.dumps(j, sort_keys=True).encode())
+    assert h.hexdigest() == ROUNDTRIP_SHA256
 
 
 def test_mutated_documents_parse_or_raise_document_error():
     """Seeded fuzz of the input boundary: a mutated printed document is
     either a document or a DocumentError, never another exception."""
     rng = random.Random(5)
+    h = hashlib.sha256()
     alphabet = "0123456789/.-+,;()[]{}e \u2192\u00b2\n"
     for _ in range(3000):
         text = print_document(random_document(rng))
@@ -227,8 +253,11 @@ def test_mutated_documents_parse_or_raise_document_error():
         try:
             doc = parse(text)
         except DocumentError:
+            h.update(b"rejected\0")
             continue
         assert isinstance(doc, Document)
+        h.update(print_document(doc).encode() + b"\0")
+    assert h.hexdigest() == FUZZ_SHA256
 
 
 def test_json_mirror_fields():

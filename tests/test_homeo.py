@@ -15,6 +15,7 @@ from cantordyn.space import (
     point_distance,
     point_with_prefix,
 )
+from cantordyn import homeo
 from cantordyn.homeo import (
     Odometer,
     PrefixMap,
@@ -630,3 +631,69 @@ def test_comparisons_are_pinned():
                 except ValueError as exc:
                     put(str(exc))
     assert h.hexdigest() == COMPARISONS_SHA256
+
+
+def _table_refinement(S, T):
+    """The common refinement at the deeper domain depth, from table."""
+    depth = max(S.max_domain_depth(), T.max_domain_depth())
+    return [
+        (w, (v1, c1), (v2, c2))
+        for (w, v1, c1), (_, v2, c2) in zip(S.table(depth), T.table(depth))
+    ]
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_cells_match_the_table_reference(sig, monkeypatch):
+    """Each cell refines to the table rows of both maps below it, there are
+    fewer cells than branches, and every comparison reads the same off the
+    cells as off the depth-d table."""
+    rng = random.Random(47)
+    for _ in range(40):
+        S, T = _pinned_maps(rng, sig)
+        cells = homeo.common_refinement(S, T)
+        assert len(cells) < len(S.branches) + len(T.branches)
+        deep = _table_refinement(S, T)
+        depth = len(deep[0][0])
+        rows = iter(deep)
+        for w, (v1, c1), (v2, c2) in cells:
+            for x in sig.words(depth, w):
+                _, b1, b2 = next(rows)
+                assert refine_branch(sig, (w, v1, c1), x)[1:] == b1
+                assert refine_branch(sig, (w, v2, c2), x)[1:] == b2
+        assert next(rows, None) is None
+        comparisons = [
+            sup_pointwise_distance(S, T),
+            inf_pointwise_distance(S, T),
+            difference_set(S, T),
+            fixed_points(T.inverse().after(S)),
+            full_group_membership(S, T, 2),
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(homeo, "common_refinement", _table_refinement)
+            assert comparisons == [
+                sup_pointwise_distance(S, T),
+                inf_pointwise_distance(S, T),
+                difference_set(S, T),
+                fixed_points(T.inverse().after(S)),
+                full_group_membership(S, T, 2),
+            ]
+
+
+def test_common_refinement_costs_the_branches():
+    # DISS^14 has 16 branches and domain depth 15: 2^15 table rows
+    cells = homeo.common_refinement(DISS.power(14), PrefixMap.identity(DYADIC))
+    assert len(cells) == 16
+
+
+@pytest.mark.parametrize(
+    "branches,reason",
+    [
+        # a duplicate domain word, a domain overlap and a range overlap
+        ([((0,), (0,), 0), ((0,), (1,), 0), ((1,), (1,), 0)], "domain"),
+        ([((0,), (0,), 0), ((0, 1), (1, 0), 0), ((1,), (1, 1), 0)], "domain"),
+        ([((0,), (1,), 0), ((1, 0), (1, 0), 0), ((1, 1), (0,), 0)], "range"),
+    ],
+)
+def test_make_refuses_overlapping_words(branches, reason):
+    with pytest.raises(ValueError, match=f"{reason} words overlap"):
+        PrefixMap.make(DYADIC, branches)

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantordyn.space import DYADIC, Clopen, Signature, is_partition, partition_at_depth
+from cantordyn import synth
+from cantordyn.space import (
+    DYADIC,
+    Clopen,
+    Point,
+    Signature,
+    is_partition,
+    partition_at_depth,
+)
 from cantordyn.measure import Dirac, Mixture, ProductMeasure, measure_of, open_diff_mass
 from cantordyn.homeo import (
     Odometer,
@@ -625,6 +633,77 @@ def test_rank1_certificate_reverified():
     assert is_partition(list(res.tower.levels[0]))
 
 
+# the tree pair 000 -> 001 -> 010 -> 0110 -> 0111 -> 000 cycles [0] with
+# period 5, and the dyadic odometer runs on [1]
+PERIOD_5 = PrefixMap.make(
+    SIG,
+    [
+        ((0, 0, 0), (0, 0, 1), 0),
+        ((0, 0, 1), (0, 1, 0), 0),
+        ((0, 1, 0), (0, 1, 1, 0), 0),
+        ((0, 1, 1, 0), (0, 1, 1, 1), 0),
+        ((0, 1, 1, 1), (0, 0, 0), 0),
+        ((1,), (1,), 1),
+    ],
+)
+
+
+def test_rank1_refuses_periods_up_to_eight_before_doubling(monkeypatch):
+    heights = []
+
+    def castle_spy(Tm, n, measures, epsilon):
+        heights.append(n)
+        return rokhlin_castle(Tm, n, measures, epsilon)
+
+    monkeypatch.setattr(synth, "rokhlin_castle", castle_spy)
+    refusal = r"periodic points of period 5 found: Clopen\{0\}"
+    with pytest.raises(ValueError, match=refusal):
+        rank1_in_uniform_neighborhood(PERIOD_5, [UNI], Fraction(1, 2))
+    assert heights == []
+    # a castle of height 2 refuses only periods up to 2
+    castle = rokhlin_castle(PERIOD_5, 2, [UNI], Fraction(1, 4))
+    assert all(h >= 2 for _, h, _ in castle.towers)
+
+
+def test_rank1_doubles_the_height_and_glues_the_tops(monkeypatch):
+    T = PrefixMap.make(
+        SIG,
+        [
+            ((0, 0, 0), (0, 0, 1), 0),
+            ((0, 0, 1), (1, 1, 1), 0),
+            ((0, 1, 0), (0, 1, 1), 0),
+            ((0, 1, 1), (0, 0, 0), 1),
+            ((1, 0, 0), (1, 1, 0), 0),
+            ((1, 0, 1), (0, 1, 0), 0),
+            ((1, 1, 0), (1, 0, 1), 0),
+            ((1, 1, 1), (1, 0, 0), 0),
+        ],
+    )
+    dirac = Dirac(SIG, Point.make(SIG, (), (0,)))
+    castles, glued = [], []
+
+    def castle_spy(Tm, n, measures, epsilon):
+        castle = rokhlin_castle(Tm, n, measures, epsilon)
+        castles.append((n, [h for _, h, _ in castle.towers]))
+        return castle
+
+    def glue_spy(A, B):
+        glued.append((A, B))
+        return canonical_clopen_homeo(A, B)
+
+    monkeypatch.setattr(synth, "rokhlin_castle", castle_spy)
+    monkeypatch.setattr(synth, "canonical_clopen_homeo", glue_spy)
+    res = rank1_in_uniform_neighborhood(T, [dirac], Fraction(1, 2))
+    # two towers at n = 2, whose tops are glued onto the next base, miss;
+    # the doubled height gives one tower
+    assert castles == [(2, [2, 3]), (4, [4])]
+    assert res.certificate["castle_heights"] == [4]
+    assert glued
+    assert res.certificate["measures_of_difference"] == [0]
+    E = difference_set(res.homeo, T)
+    assert open_diff_mass(dirac, E) == 0
+
+
 def test_truncation_order_and_distance():
     for t in (1, 2, 3, 4):
         Q = truncation(SIG, t)
@@ -648,9 +727,7 @@ def test_periodic_approx_uniform():
 
 
 def test_periodic_approx_uniform_dirac_obstruction():
-    ones = Dirac(SIG, __import__("cantordyn.space", fromlist=["Point"]).Point.make(
-        SIG, (), (1,)
-    ))
+    ones = Dirac(SIG, Point.make(SIG, (), (1,)))
     res = periodic_approx_odometer(
         OD, "uniform", epsilon=Fraction(1, 8), measures=[ones], depth_cap=10
     )
