@@ -28,7 +28,7 @@ from .homeo import (
     period_structure,
     weak_distance,
 )
-from .topology import IndeterminateAtDepth, in_neighborhood, defect_over_partition
+from .topology import in_neighborhood, defect_over_partition
 from .gen import random_document
 from . import docformat as df
 
@@ -169,17 +169,9 @@ def cmd_dist(args, out):
 def cmd_member(args, out):
     S = resolve_homeo(args.S)
     N = _load_document(args.N, "neighborhood")
-    sig = S.sig
-    try:
-        m = in_neighborhood(S, N)
-    except IndeterminateAtDepth as e:
-        lo, hi = e.interval
-        out.doc(
-            df.doc_certificate(
-                sig, "indeterminate", {"lower": lo, "upper": hi}
-            )
-        )
-        return 2
+    # resolve_homeo and the parser build only exact maps, so the weak ball
+    # test always decides
+    m = in_neighborhood(S, N)
     entries = {"member": m.ok}
     cert = m.certificate
     if "mismatched_sets" in cert:
@@ -194,7 +186,7 @@ def cmd_member(args, out):
         lo, hi = cert["weak_distance"]
         entries["lower"] = lo
         entries["upper"] = hi
-    out.doc(df.doc_certificate(sig, "membership", entries))
+    out.doc(df.doc_certificate(S.sig, "membership", entries))
     return 0 if m.ok else 2
 
 

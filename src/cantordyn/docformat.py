@@ -216,7 +216,7 @@ class _Parser:
 
     def seq(self, open_, close, item, sep=","):
         """The items read by item() between open_ and close, separated by
-        sep; [] for an empty list."""
+        sep; [] for an empty list.  A separator before close is refused."""
         self.lit(open_)
         out = []
         if self.try_lit(close):
@@ -225,7 +225,11 @@ class _Parser:
             out.append(item())
             if self.try_lit(close):
                 return out
-            self.lit(sep)
+            if not self.try_lit(sep):
+                self.error(f"expected {sep!r} or {close!r}")
+            self.ws()
+            if self.peek(close):
+                self.error("not canonical: trailing-separator")
 
     def ident(self):
         self.ws()
@@ -269,25 +273,12 @@ class _Parser:
         self.ws()
         if self.try_lit("dyadic"):
             return DYADIC
-        self.lit("base(")
-        pre = self._numlist(")", ";")
-        self.lit(";")
-        per = self._numlist(")", ")")
-        self.lit(")")
+        pre = self.seq("base(", ";", self.int_)
+        per = self.seq("", ")", self.int_)
         try:
             return Signature(tuple(pre), tuple(per))
         except ValueError as e:
             self.error(str(e))
-
-    def _numlist(self, *stops):
-        out = []
-        self.ws()
-        while not any(self.peek(s) for s in stops):
-            out.append(self.int_())
-            if not self.try_lit(","):
-                break
-            self.ws()
-        return out
 
     def word(self, sig, validate=True):
         self.ws()
@@ -347,11 +338,9 @@ class _Parser:
         self.ws()
         if self.try_lit("uniform"):
             return ProductMeasure.uniform(sig)
-        if self.try_lit("product["):
-            pre = self._weight_rows("|")
-            self.lit("|")
-            cyc = self._weight_rows("]")
-            self.lit("]")
+        if self.peek("product["):
+            pre = self.seq("product[", "|", self._row, ";")
+            cyc = self.seq("", "]", self._row, ";")
             try:
                 mu = ProductMeasure.make(sig, pre, cyc)
             except ValueError as e:
@@ -379,18 +368,11 @@ class _Parser:
             self.error("nested mixtures are not allowed")
         return w, m
 
-    def _weight_rows(self, stop):
-        rows = []
-        self.ws()
-        while not self.peek(stop):
-            row = [self.frac()]
-            while self.try_lit(","):
-                row.append(self.frac())
-            rows.append(tuple(row))
-            if not self.try_lit(";"):
-                break
-            self.ws()
-        return rows
+    def _row(self):
+        row = [self.frac()]
+        while self.try_lit(","):
+            row.append(self.frac())
+        return tuple(row)
 
     def homeo(self):
         self.ws()
@@ -473,6 +455,8 @@ class _Parser:
         sig = self.sig()
         name = self.ident()
         entries = self.seq("{", "}", lambda: (self.ident(), self.cert_value(sig)))
+        if len({k for k, _ in entries}) != len(entries):
+            self.error("not canonical: duplicate-key")
         cert = doc_certificate(sig, name, entries).value
         if cert.entries != tuple(entries):
             self.error("not canonical: certificate-keys-not-sorted")

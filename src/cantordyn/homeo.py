@@ -228,6 +228,8 @@ class PrefixMap(Value):
         return below
 
     def image(self, A):
+        if A.sig != self.sig:
+            raise ValueError("signature mismatch")
         words = []
         for w in A.words:
             words += self._cylinder_image(w)
@@ -237,6 +239,8 @@ class PrefixMap(Value):
         return self.inverse().image(A)
 
     def apply(self, x):
+        if x.sig != self.sig:
+            raise ValueError("signature mismatch")
         for u, v, c in self.branches:
             if x.digits(len(u)) == u:
                 tail = point_add(x.drop(len(u)), c)
@@ -340,6 +344,8 @@ def common_refinement(S, T):
     so there are fewer of them than branches of S and T together.  Returns
     a list of (w, (v1, c1), (v2, c2)).
     """
+    if S.sig != T.sig:
+        raise ValueError("signature mismatch")
     s_cells = refine_to(S.sig, S.branches, [u for u, _, _ in T.branches])
     t_cells = refine_to(T.sig, T.branches, [w for w, _, _ in s_cells])
     return [

@@ -62,6 +62,8 @@ class Value:
         exec(
             f"def __init__(self, {params}):{body}\n"
             "def __eq__(self, other):\n"
+            "    if other is self:\n"
+            "        return True\n"
             "    if other.__class__ is self.__class__:\n"
             f"        return ({mine}) == ({theirs})\n"
             "    return NotImplemented\n"
@@ -382,13 +384,11 @@ class Clopen(Value):
             raise ValueError("cannot split empty set")
         if m < 1:
             raise ValueError("m must be >= 1")
+        # splitting the last of sorted prefix-free words keeps the words sorted
         ws = list(self.words)
         while len(ws) < m:
-            ws.sort()
             last = ws.pop()
-            lam = self.sig.level(len(last))
-            ws.extend(last + (d,) for d in range(lam))
-        ws.sort()
+            ws.extend(last + (d,) for d in range(self.sig.level(len(last))))
         parts = [Clopen(self.sig, (w,)) for w in ws[: m - 1]]
         parts.append(Clopen.make(self.sig, ws[m - 1 :]))
         return parts

@@ -23,6 +23,7 @@ from .homeo import (
     inf_pointwise_distance,
     invert_branches,
     period_structure,
+    refine_branch,
     refine_to,
     weak_distance,
 )
@@ -32,15 +33,13 @@ from .homeo import (
 
 
 def _equalize(A, B):
+    # splitting the last of sorted prefix-free words keeps the words sorted
     a, b = list(A.words), list(B.words)
     while len(a) != len(b):
         small = a if len(a) < len(b) else b
-        sig = A.sig
-        small.sort()
         last = small.pop()
-        lam = sig.level(len(last))
-        small.extend(last + (d,) for d in range(lam))
-    return sorted(a), sorted(b)
+        small.extend(last + (d,) for d in range(A.sig.level(len(last))))
+    return a, b
 
 
 def canonical_clopen_homeo(A, B):
@@ -80,9 +79,11 @@ class OverlapGraph(Value):
     atoms: list
     cells: dict  # (i, j) -> nonempty Clopen, T(F_i) & F_j
     arcs: list  # sorted (i, j) with nonempty cell
-    components: list  # strongly connected components, sorted vertex lists
+    components: list  # strong components, sorted vertex lists, by least vertex
     multiplicities: dict  # (i, j) -> m_ij >= 1, balanced; None if infeasible
     balance_feasible: bool
+    # a proper union of atoms with T F inside F; None for one strong component
+    witness: Clopen = None
 
     def to_dot(self):
         lines = ["digraph overlap {"]
@@ -94,58 +95,6 @@ class OverlapGraph(Value):
             lines.append(f"  v{i} -> v{j}{label};")
         lines.append("}")
         return "\n".join(lines)
-
-
-def _scc(n, arcs):
-    """Strongly connected components, Tarjan, deterministic order."""
-    adj = [[] for _ in range(n)]
-    for i, j in sorted(arcs):
-        adj[i].append(j)
-    index = [None] * n
-    low = [0] * n
-    on = [False] * n
-    stack = []
-    comps = []
-    counter = [0]
-
-    def strong(v):
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on[node] = True
-            advanced = False
-            for k in range(pi, len(adj[node])):
-                w = adj[node][k]
-                if index[w] is None:
-                    work[-1] = (node, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on[w]:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    for v in range(n):
-        if index[v] is None:
-            strong(v)
-    return comps
 
 
 def minimal_circulation(n, arcs):
@@ -204,8 +153,31 @@ def minimal_circulation(n, arcs):
     return {a: 1 + flow[a] for a in arcs}
 
 
+def _reach_sets(n, arcs):
+    """The set of vertices each vertex reaches, itself included."""
+    succ = [[] for _ in range(n)]
+    for i, j in arcs:
+        succ[i].append(j)
+    reach = []
+    for v in range(n):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return reach
+
+
 def overlap_graph(T, partition):
-    """Arc structure T(F_i) & F_j with minimal balanced multiplicities."""
+    """Arc structure T(F_i) & F_j with minimal balanced multiplicities.
+
+    Every answer is one of mutual reachability, read from the reach sets:
+    the strong component of v is what v reaches and what reaches v, and the
+    witness is the first component, by least vertex, that is its own reach
+    set (no arc leaves it) and is not the whole graph.
+    """
     Tm = as_prefix_map(T)
     atoms = list(partition)
     if not is_partition(atoms):
@@ -219,40 +191,29 @@ def overlap_graph(T, partition):
             if not cell.is_empty:
                 cells[(i, j)] = cell
     arcs = sorted(cells)
-    comps = _scc(n, arcs)
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    reach = _reach_sets(n, arcs)
+    components, witness = [], None
+    for v in range(n):
+        comp = [u for u in sorted(reach[v]) if v in reach[u]]
+        if comp[0] == v:
+            components.append(comp)
+            if witness is None and len(comp) == len(reach[v]) < n:
+                words = [w for u in comp for w in atoms[u].words]
+                witness = Clopen.make(atoms[0].sig, words)
     # balanced multiplicities exist iff every weak component is strongly
-    # connected, that is, iff no arc joins two strong components; augmenting
+    # connected, that is, iff j reaches i for every arc (i, j); augmenting
     # paths then never leave a component, so one circulation serves them all
-    feasible = all(comp_of[i] == comp_of[j] for i, j in arcs)
+    feasible = all(i in reach[j] for i, j in arcs)
     return OverlapGraph(
         n=n,
         atoms=atoms,
         cells=cells,
         arcs=arcs,
-        components=comps,
+        components=components,
         multiplicities=minimal_circulation(n, arcs) if feasible else None,
         balance_feasible=feasible,
+        witness=witness,
     )
-
-
-def _witness_from_graph(g):
-    """A proper clopen union of atoms with T F inside F (forward-closed)."""
-    comps = g.components
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    terminal = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[j] == ci for i, j in g.arcs if i in comp):
-            terminal.append(comp)
-    terminal.sort(key=lambda c: c[0])
-    for comp in terminal:
-        if len(comp) < g.n:
-            sig = g.atoms[0].sig
-            F = Clopen.empty(sig)
-            for v in comp:
-                F = F | g.atoms[v]
-            return F
-    return None
 
 
 def euler_circuit(vertices, arc_multiset, start):
@@ -308,17 +269,12 @@ def _glue_cycle(sig, pieces, close_exactly=False):
     With close_exactly, the last map is the inverse of the composed path, so
     the glued map has finite order.
     """
-    r = len(pieces)
+    path = [(u, u, 0) for u in pieces[0].words]
     frags = []
-    if r == 1:
-        return canonical_clopen_homeo(pieces[0], pieces[0]) if not close_exactly else [
-            (u, u, 0) for u in pieces[0].words
-        ]
-    path = None
-    for l in range(r - 1):
-        f = canonical_clopen_homeo(pieces[l], pieces[(l + 1) % r])
+    for a, b in zip(pieces, pieces[1:]):
+        f = canonical_clopen_homeo(a, b)
         frags.extend(f)
-        path = f if path is None else compose_branches(sig, f, path)
+        path = compose_branches(sig, f, path)
     if close_exactly:
         frags.extend(invert_branches(path))
     else:
@@ -330,7 +286,7 @@ def odometer_in_weak_neighborhood(T, partition):
     """Odometer-structured S with S F_i = T F_i, or a closed-set witness."""
     g = overlap_graph(T, partition)
     if len(g.components) != 1:
-        return SynthesisResult(ok=False, graph=g, witness=_witness_from_graph(g))
+        return SynthesisResult(ok=False, graph=g, witness=g.witness)
     pieces = _circuit_pieces(g)
     sig = partition[0].sig
     S = PrefixMap.make(sig, _glue_cycle(sig, pieces))
@@ -351,12 +307,12 @@ def periodic_in_weak_neighborhood(T, partition):
     """Pointwise periodic P with P F_i = T F_i, or a closed-set witness."""
     g = overlap_graph(T, partition)
     if not g.balance_feasible:
-        return SynthesisResult(ok=False, graph=g, witness=_witness_from_graph(g))
+        return SynthesisResult(ok=False, graph=g, witness=g.witness)
     sig = partition[0].sig
     branches = []
     orders = []
     all_pieces = []
-    for comp in sorted(g.components):
+    for comp in g.components:
         pieces = _circuit_pieces(g, set(comp))
         all_pieces.append(pieces)
         branches.extend(_glue_cycle(sig, pieces, close_exactly=True))
@@ -449,7 +405,11 @@ def fundamental_domain(P, p):
     return E
 
 
-def aperiodize_periodic(P, epsilon, p=None, max_order=64):
+# largest order aperiodize_periodic tries when no period is given
+APERIODIZE_MAX_ORDER = 64
+
+
+def aperiodize_periodic(P, epsilon, p=None):
     """Aperiodic T close to the p-periodic P in the weak metric.
 
     Replaces the trivial first-return of the fundamental domain by digit-tail
@@ -459,7 +419,7 @@ def aperiodize_periodic(P, epsilon, p=None, max_order=64):
     epsilon = _positive(epsilon)
     if p is None:
         cur = PrefixMap.identity(Pm.sig)
-        for q in range(1, max_order + 1):
+        for q in range(1, APERIODIZE_MAX_ORDER + 1):
             cur = Pm.after(cur)
             if cur.is_identity():
                 p = q
@@ -784,12 +744,23 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon):
 
 def truncation(sig, t, k=1):
     """The depth-t cyclic prefix exchange approximating the adding machine
-    shifted by k."""
-    n = sig.num_words(t)
-    return PrefixMap.tree_pair(
-        sig,
-        [(sig.word_of_index(i, t), sig.word_of_index(i + k, t)) for i in range(n)],
-    )
+    shifted by k.
+
+    The odometer branch is refined only where a carry still runs, and the
+    carry is dropped at depth t, so the cost grows with t, not with the
+    number of depth-t words.
+    """
+    branches, running = [], [((), (), k)]
+    while running:
+        br = u, v, c = running.pop()
+        if not c:
+            branches.append(br)
+        elif len(u) == t:
+            branches.append((u, v, 0))
+        else:
+            lam = sig.level(len(u))
+            running += [refine_branch(sig, br, u + (d,)) for d in range(lam)]
+    return PrefixMap.make(sig, branches)
 
 
 class PeriodicApproximant(Value):
@@ -800,7 +771,11 @@ class PeriodicApproximant(Value):
     obstruction: object = None
 
 
-def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40):
+# deepest truncation periodic_approx_odometer tries
+APPROX_DEPTH_CAP = 40
+
+
+def periodic_approx_odometer(S, mode, epsilon=None, measures=None):
     """Periodic Q near the odometer S: weak mode bounds d_w, uniform mode
     bounds the measure of the difference set.
 
@@ -815,7 +790,7 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
         t = 1
         while Fraction(2, 2**t) >= epsilon:
             t += 1
-            if t > depth_cap:
+            if t > APPROX_DEPTH_CAP:
                 raise RuntimeError("depth cap exceeded in weak mode")
         Qs = truncation(sig, t, S.shift)
         dw = weak_distance(S, Qs)
@@ -830,7 +805,7 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
     if mode == "uniform":
         if not measures:
             raise ValueError("uniform mode needs measures")
-        for t in range(1, depth_cap + 1):
+        for t in range(1, APPROX_DEPTH_CAP + 1):
             Qs = truncation(sig, t, S.shift)
             E = difference_set(Qs, S)
             values = [open_diff_mass(mu, E) for mu in measures]
@@ -844,13 +819,11 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None, depth_cap=40)
                         "power_identity": sig.num_words(t),
                     },
                 )
-        # locate the obstructing atom at the cap
-        Qs = truncation(sig, depth_cap, S.shift)
-        E = difference_set(Qs, S)
+        # locate the obstructing atom in the difference set at the cap
         atom = _find_atom_in(measures, E.core)
         return PeriodicApproximant(
             ok=False,
-            depth=depth_cap,
+            depth=APPROX_DEPTH_CAP,
             obstruction=atom,
             certificate={"difference_core": E.core},
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .space import Clopen, Value
+from .space import Clopen, Value, is_partition
 from .measure import measure_of, open_diff_mass
 from .homeo import (
     TowerSystem,
@@ -134,57 +134,44 @@ def in_neighborhood(S, N):
     raise TypeError(f"unknown neighborhood kind {type(N).__name__}")
 
 
-def defect_over_partition(kind, S, T, mu, partition, allow_greedy=False):
-    """Certified lower bound of the defect sup over unions of the atoms.
+def defect_over_partition(kind, S, T, mu, partition):
+    """Certified defect sup over unions of the atoms of a partition.
 
-    kind "tau_prime" maximizes mu(TF ^ SF); kind "bar_tau" maximizes
-    |mu(TF) - mu(SF)|.  Exhaustive up to EXHAUSTIVE_ATOM_LIMIT atoms; beyond
-    that a greedy pass must be requested explicitly and the result is only a
-    heuristic lower bound.
+    kind "tau_prime" maximizes mu(TF ^ SF), exhaustively, up to
+    EXHAUSTIVE_ATOM_LIMIT atoms.  kind "bar_tau" maximizes
+    |mu(TF) - mu(SF)| exactly for any number of atoms: S and T are
+    bijections, so mu(TF) - mu(SF) is the sum of d_i = mu(T a_i) - mu(S a_i)
+    over the atoms a_i of F, and the largest |sum| is that of the positive
+    d_i or of the negative ones.
     """
     if kind not in ("tau_prime", "bar_tau"):
         raise ValueError("kind must be tau_prime or bar_tau")
-    Sm, Tm = as_prefix_map(S), as_prefix_map(T)
     atoms = list(partition)
+    if not is_partition(atoms):
+        raise ValueError("input sets do not partition the space")
+    Sm, Tm = as_prefix_map(S), as_prefix_map(T)
     simgs = [Sm.image(a) for a in atoms]
     timgs = [Tm.image(a) for a in atoms]
-
-    def value(selection):
-        sig = atoms[0].sig
-        sf = Clopen.empty(sig)
-        tf = Clopen.empty(sig)
-        for i in selection:
-            sf = sf | simgs[i]
-            tf = tf | timgs[i]
-        if kind == "tau_prime":
-            return measure_of(mu, tf ^ sf)
-        return abs(measure_of(mu, tf) - measure_of(mu, sf))
-
+    if kind == "bar_tau":
+        d = [measure_of(mu, t) - measure_of(mu, s) for s, t in zip(simgs, timgs)]
+        gain = sum((x for x in d if x > 0), Fraction(0))
+        loss = -sum((x for x in d if x < 0), Fraction(0))
+        return max(gain, loss)
     n = len(atoms)
-    if n <= EXHAUSTIVE_ATOM_LIMIT:
-        best = Fraction(0)
-        for mask in range(1 << n):
-            sel = [i for i in range(n) if mask >> i & 1]
-            best = max(best, value(sel))
-        return best
-    if not allow_greedy:
+    if n > EXHAUSTIVE_ATOM_LIMIT:
         raise ValueError(
             f"partition has more than {EXHAUSTIVE_ATOM_LIMIT} atoms; "
-            "pass allow_greedy=True for a heuristic lower bound"
+            "the tau_prime defect is computed only up to that"
         )
-    sel = []
+    sig = atoms[0].sig
     best = Fraction(0)
-    improved = True
-    while improved:
-        improved = False
+    for mask in range(1 << n):
+        sf = tf = Clopen.empty(sig)
         for i in range(n):
-            if i in sel:
-                continue
-            v = value(sel + [i])
-            if v > best:
-                best = v
-                sel.append(i)
-                improved = True
+            if mask >> i & 1:
+                sf = sf | simgs[i]
+                tf = tf | timgs[i]
+        best = max(best, measure_of(mu, tf ^ sf))
     return best
 
 

@@ -46,6 +46,10 @@ def test_member_exit_codes(capsys):
     n = "neighborhood weak 1/2 (tree-pair dyadic {e->e})"
     code, out, _ = run(capsys, "member", "swap", n)
     assert code == 2 and "member false" in out
+    # the ball is open: a radius equal to the distance excludes the map
+    n = "neighborhood weak 2 (tree-pair dyadic {e->e})"
+    code, out, _ = run(capsys, "member", "swap", n)
+    assert code == 2 and "lower 2, member false, upper 2" in out
 
 
 SWAP_BASE = "(tree-pair dyadic {0->1, 1->0})"
@@ -87,6 +91,52 @@ def test_defect(capsys, kind, value):
         "--kind", kind,
     )
     assert code == 0 and out == value + "\n"
+
+
+BASE3 = "odometer:base(;3)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "odometer:dyadic", BASE3],
+        ["dist", "swap", BASE3],
+        ["diff", "odometer:dyadic", BASE3],
+        ["fullgroup", "odometer:dyadic", BASE3],
+        ["member", BASE3, "neighborhood weak 1 (odometer dyadic 1)"],
+        ["member", BASE3, "neighborhood p (odometer dyadic 1) [{0}]"],
+        ["defect", BASE3, "swap", "--measure", "uniform", "--partition", "{0},{1},{2}"],
+        ["defect", "swap", BASE3, "--measure", "uniform", "--partition", "{0},{1}",
+         "--kind", "bar-tau"],
+    ],
+)
+def test_maps_over_different_signatures_are_refused(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: signature mismatch\n")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["defect", "swap", "id", "--measure", "uniform", "--partition", "{0},{0}"],
+         "input sets do not partition the space"),
+        (["centralizer", "odometer:dyadic", "swap"],
+         "centralizer test needs an odometer as second argument"),
+        (["measure", "uniform", "{0}"], "the set argument must be a clopen document"),
+        (["dist", "odometer:dyadicx", "swap"], "trailing input after signature"),
+        (["measure", "uniform x", "clopen dyadic {0}"], "trailing input after measure"),
+        (["defect", "swap", "id", "--measure", "uniform", "--partition", "{0},{1} x"],
+         "trailing input after partition"),
+    ],
+)
+def test_bad_arguments_are_refused_by_name(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {reason}")
+
+
+def test_identity_alias_takes_a_signature(capsys):
+    code, out, _ = run(capsys, "compose", "id:base(;3)")
+    assert code == 0 and out == "cdyn 1\nhomeo tree-pair base(;3) {e->e}\n"
 
 
 def test_compose_and_tabulate(capsys):

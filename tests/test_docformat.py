@@ -175,6 +175,18 @@ REJECTS = [
     ("clopen base(12;2) {.1}", "empty-digit"),
     ("measure dyadic product[|1/2,1/2]", "product-is-uniform"),
     ("measure dyadic product[1/2,1/2|1/2,1/2]", "product-is-uniform"),
+    ("signature base(2,;2)", "trailing-separator"),
+    ("signature base(2;2,)", "trailing-separator"),
+    ("measure dyadic product[|1/3,2/3;]", "trailing-separator"),
+    ("clopen dyadic {0, }", "trailing-separator"),
+    ("certificate dyadic x {a 1, a 2}", "duplicate-key"),
+    (
+        "measure dyadic mix(1/2 dirac (0) + 1/2 mix(1/2 dirac (1) + 1/2 uniform))",
+        "nested mixtures are not allowed",
+    ),
+    ("castle dyadic towers[] base {} bound []", "a castle needs a tower"),
+    ("castle dyadic towers[({0}, 0)] base {} bound []", "tower height must be positive"),
+    ("castle dyadic towers[({1}, 1), ({0}, 1)] base {} bound []", "list-not-sorted"),
 ]
 
 
@@ -215,7 +227,7 @@ def test_error_carries_position():
 # the fuzz outcomes (each accepted document's text, or `rejected`), as first
 # recorded; a change of either document boundary changes them
 ROUNDTRIP_SHA256 = "dbbac0af4ca50e0f2430fc1dece624fa23af7423d69119645e181cd6977c2af9"
-FUZZ_SHA256 = "bdf80079c3c693f1d77825166a026f1061f29af3c3658d48da3c27f1b9c960dc"
+FUZZ_SHA256 = "ee01640d3ceaf288bc7645a291cc6e581a1fe401464cb7dbbe0afd2ccfe7e173"
 
 
 def test_random_documents_roundtrip():

@@ -138,6 +138,21 @@ def test_weak_distance_known_values():
         assert weak_distance(T, truncation(sig, t)) == Fraction(2, 2**t)
 
 
+def test_maps_refuse_operands_over_another_signature():
+    T3 = as_prefix_map(Odometer(Signature((), (3,)), 1))
+    od = Odometer(DYADIC, 1)
+    calls = [
+        lambda: T3.image(Clopen.make(DYADIC, [(1,)])),
+        lambda: T3.apply(Point.make(DYADIC, (), (1,))),
+        lambda: weak_distance(T3, od),
+        lambda: difference_set(od, T3),
+        lambda: full_group_membership(od, T3, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="signature mismatch"):
+            call()
+
+
 def test_difference_set_empty_iff_equal():
     sig = DYADIC
     rng = random.Random(23)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,6 +216,33 @@ def test_periodic_synthesis_has_finite_order():
         assert as_prefix_map(power(res.homeo, order)).is_identity()
 
 
+# sha256 of the overlap graphs and both Euler syntheses below as first
+# recorded; a change in any arc, component, multiplicity, feasibility,
+# synthesized map, witness, certificate, piece or refusal message changes it
+SYNTHESIS_SHA256 = "0ccfe03b59f0ec80c76ceccba157a3012831f890a09ef71a32ac909bb58269a9"
+
+
+def test_synthesis_digest():
+    h = hashlib.sha256()
+    rng = random.Random(12345)
+    for i in range(600):
+        sig = SIGS[i % 3]
+        T = random_homeo(rng, sig)
+        if rng.random() < 0.5:
+            T = T.after(random_homeo(rng, sig))
+        part = random_partition(rng, sig, max_atoms=10)
+        g = overlap_graph(T, part)
+        out = [g.arcs, sorted(g.components), g.multiplicities, g.balance_feasible]
+        for synthesize in (odometer_in_weak_neighborhood, periodic_in_weak_neighborhood):
+            try:
+                r = synthesize(T, part)
+                out.append((r.ok, r.homeo, r.witness, r.certificate, r.pieces))
+            except ValueError as exc:
+                out.append(str(exc))
+        h.update(repr(out).encode() + b"\n")
+    assert h.hexdigest() == SYNTHESIS_SHA256
+
+
 def test_extend_cyclic_partition():
     cyc = [Clopen.cylinder(SIG, (0,)), Clopen.cylinder(SIG, (1,))]
     t = extend_cyclic_partition_to_odometer(cyc, levels=3)
@@ -294,7 +323,7 @@ def test_aperiodize_swap():
 
 def test_aperiodize_rejects_aperiodic_input():
     with pytest.raises(ValueError):
-        aperiodize_periodic(as_prefix_map(OD), Fraction(1, 2), max_order=16)
+        aperiodize_periodic(as_prefix_map(OD), Fraction(1, 2))
 
 
 def _dyadic_value(w):
@@ -727,10 +756,38 @@ def test_periodic_approx_uniform():
 
 
 def test_periodic_approx_uniform_dirac_obstruction():
+    # a point mass on the carry path obstructs every depth up to the cap
     ones = Dirac(SIG, Point.make(SIG, (), (1,)))
+    t0 = time.monotonic()
     res = periodic_approx_odometer(
-        OD, "uniform", epsilon=Fraction(1, 8), measures=[ones], depth_cap=10
+        OD, "uniform", epsilon=Fraction(1, 8), measures=[ones]
     )
+    assert time.monotonic() - t0 < 5
     assert not res.ok
+    assert res.depth == synth.APPROX_DEPTH_CAP
     assert res.obstruction == ones.atom
     assert ones.atom.in_clopen(res.certificate["difference_core"])
+
+
+def test_periodic_approx_weak_at_a_small_epsilon():
+    t0 = time.monotonic()
+    res = periodic_approx_odometer(OD, "weak", epsilon=Fraction(1, 2**30))
+    assert time.monotonic() - t0 < 5
+    assert res.ok and res.depth == 32
+    assert res.certificate["weak_distance"] == Fraction(2, 2**32)
+
+
+def _enumerated_truncation(sig, t, k):
+    """The depth-t truncation from all depth-t words; the reference."""
+    n = sig.num_words(t)
+    return PrefixMap.tree_pair(
+        sig,
+        [(sig.word_of_index(i, t), sig.word_of_index(i + k, t)) for i in range(n)],
+    )
+
+
+@pytest.mark.parametrize("sig", SIGS + [Signature((2, 4), (3, 2))])
+def test_truncation_matches_the_enumeration(sig):
+    for t in range(1, 6):
+        for k in range(-5, 8):
+            assert truncation(sig, t, k) == _enumerated_truncation(sig, t, k)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantordyn.space import DYADIC, Clopen, partition_at_depth
+from cantordyn.space import DYADIC, Clopen, Signature, partition_at_depth
 from cantordyn.measure import ProductMeasure, measure_of
 from cantordyn.homeo import (
     Odometer,
@@ -26,7 +26,9 @@ from cantordyn.topology import (
     weak_distance_interval,
 )
 from cantordyn.synth import truncation
-from cantordyn.gen import random_homeo
+from cantordyn.gen import random_homeo, random_measure, random_partition
+
+from conftest import SIGS
 
 SIG = DYADIC
 SWAP = PrefixMap.tree_pair(SIG, [((0,), (1,)), ((1,), (0,))])
@@ -104,6 +106,12 @@ def test_weak_interval_and_indeterminate():
     assert in_neighborhood(t, WeakBall(od, Fraction(1, 8))).ok
 
 
+def test_membership_refuses_a_map_over_another_signature():
+    T3 = Odometer(Signature((), (3,)), 1)
+    with pytest.raises(ValueError, match="signature mismatch"):
+        in_neighborhood(T3, WeakBall(Odometer(SIG, 1), Fraction(1)))
+
+
 def test_defect_over_partition():
     atoms = partition_at_depth(SIG, 2)
     v = defect_over_partition("tau_prime", SWAP, IDENT, UNI, atoms)
@@ -115,14 +123,41 @@ def test_defect_over_partition():
     assert defect_over_partition("bar_tau", od, IDENT, UNI, atoms) == 0
 
 
+def test_bar_tau_defect_is_the_exhaustive_maximum():
+    """The bar-tau sum rule against the max over every union of atoms."""
+    rng = random.Random(31)
+    for i in range(60):
+        sig = SIGS[i % 3]
+        S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+        atoms = random_partition(rng, sig, max_atoms=6)
+        mu = random_measure(rng, sig)
+        best = 0
+        for mask in range(1 << len(atoms)):
+            F = Clopen.make(
+                sig, [w for k, a in enumerate(atoms) if mask >> k & 1 for w in a.words]
+            )
+            best = max(best, abs(measure_of(mu, T.image(F)) - measure_of(mu, S.image(F))))
+        assert defect_over_partition("bar_tau", S, T, mu, atoms) == best
+
+
+def test_bar_tau_defect_beyond_the_exhaustive_limit():
+    # 32 atoms: S halves the mass of each atom in [0] and doubles it in [11]
+    atoms = partition_at_depth(SIG, 5)
+    S = PrefixMap.tree_pair(SIG, [((0,), (0, 0)), ((1, 0), (0, 1)), ((1, 1), (1,))])
+    assert defect_over_partition("bar_tau", S, IDENT, UNI, atoms) == Fraction(1, 4)
+
+
+def test_defect_refuses_sets_that_do_not_partition():
+    for sets in ([Clopen.make(SIG, [(0,)])] * 2, [Clopen.make(SIG, [(0,)])]):
+        for kind in ("tau_prime", "bar_tau"):
+            with pytest.raises(ValueError, match="do not partition"):
+                defect_over_partition(kind, SWAP, IDENT, UNI, sets)
+
+
 def test_defect_refuses_large_partitions_silently_greedy():
     atoms = partition_at_depth(SIG, 5)
     with pytest.raises(ValueError):
         defect_over_partition("tau_prime", SWAP, IDENT, UNI, atoms)
-    v = defect_over_partition(
-        "tau_prime", SWAP, IDENT, UNI, atoms, allow_greedy=True
-    )
-    assert v == 1
 
 
 def test_partition_gap():
