@@ -45,8 +45,11 @@ COUNT_CAP = 10_000  # documents that one gen call may print
 
 
 def _cap_depth(sig, depth, reach):
-    """Refuse --depth when the command reads more than WORD_CAP cylinders of
-    depth reach; the product stops at the cap, so a huge depth costs nothing."""
+    """Refuse a negative --depth, and one where the command reads more than
+    WORD_CAP cylinders of depth reach; the product stops at the cap, so a
+    huge depth costs nothing."""
+    if depth < 0:
+        raise CliError(f"--depth must not be negative, got {depth}")
     n = 1
     for t in range(reach):
         n *= sig.level(t)
@@ -266,7 +269,7 @@ def cmd_centralizer(args, out):
     S = resolve_homeo(args.S)
     if not isinstance(S, Odometer):
         raise CliError("centralizer test needs an odometer as second argument")
-    # the test images every cylinder of depths 1 ... depth + 1
+    # the test refines R to every cylinder of depth + 1
     _cap_depth(S.sig, args.depth, args.depth + 1)
     res = centralizer_index_sequence(R, S, args.depth)
     entries = {"ok": res["ok"]}

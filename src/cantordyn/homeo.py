@@ -10,7 +10,9 @@ tree-pair maps and odometers always resolve to an exact PrefixMap.
 
 compose_branches and invert_branches are the one branch algebra: they
 compose and invert full maps and partial fragments alike, and
-PrefixMap.after and inverse are built on them.  Every PrefixMap that make,
+PrefixMap.after and inverse are built on them.  refine_to is the one
+restriction walk: images, restricted fragments, the common refinement of two
+maps and the centralizer test all read it.  Every PrefixMap that make,
 after, inverse, power, identity or Odometer.as_map returns is canonical as
 built (no complete sibling family of branches is left unmerged), so
 equality and hashing are those of the (sig, branches) tuple, as for Clopen.
@@ -36,7 +38,6 @@ from .space import (
     Point,
     Signature,
     Value,
-    _intersection,
     canonical_words,
     is_prefix,
     lcp_len,
@@ -216,24 +217,11 @@ class PrefixMap(Value):
 
     # -- action ------------------------------------------------------------
 
-    def _cylinder_image(self, w):
-        """Words whose cylinders cover the image of the cylinder of w exactly
-        (not canonicalized)."""
-        below = []
-        for br in self.branches:
-            if is_prefix(br[0], w):
-                return [refine_branch(self.sig, br, w)[1]]
-            if is_prefix(w, br[0]):
-                below.append(br[1])
-        return below
-
     def image(self, A):
         if A.sig != self.sig:
             raise ValueError("signature mismatch")
-        words = []
-        for w in A.words:
-            words += self._cylinder_image(w)
-        return Clopen.make(A.sig, words)
+        pieces = refine_to(self.sig, self.branches, A.words)
+        return Clopen.make(A.sig, [v for _, v, _ in pieces])
 
     def preimage(self, A):
         return self.inverse().image(A)
@@ -324,16 +312,26 @@ def refine_to(sig, branches, words):
     """The branches of a fragment restricted to the cylinders of words.
 
     The branches are sorted with prefix-free domains, and the words are
-    sorted and prefix-free.  The pieces are space._intersection of the
-    domains and the words; each lies under the branch of the piece before
-    it or a later one, so one forward walk refines them all.
+    sorted and prefix-free.  One merge walk, as in space._intersection: a
+    word under a branch gives the branch refined to it, a branch under a
+    word is kept as it is, and of two incomparable words the smaller is
+    passed.  The cost is the branches plus the words.
     """
     out = []
-    i = 0
-    for w in _intersection([u for u, _, _ in branches], words):
-        while w[: len(branches[i][0])] != branches[i][0]:
+    i = j = 0
+    while i < len(branches) and j < len(words):
+        br, w = branches[i], words[j]
+        u = br[0]
+        if w[: len(u)] == u:
+            out.append(refine_branch(sig, br, w))
+            j += 1
+        elif u[: len(w)] == w:
+            out.append(br)
             i += 1
-        out.append(refine_branch(sig, branches[i], w))
+        elif u < w:
+            i += 1
+        else:
+            j += 1
     return out
 
 
@@ -420,11 +418,6 @@ class OpenDiffSet(Value):
 
     core: Clopen
     removed: tuple = ()
-
-    @property
-    def is_empty(self):
-        # removing finitely many points never empties a nonempty clopen set
-        return self.core.is_empty
 
     def __repr__(self):
         sig = self.core.sig
@@ -602,26 +595,30 @@ def centralizer_index_sequence(R, S, depth):
     """Indices (i_0, ..., i_t) with R acting on the depth-(s+1) cylinder
     cycle exactly as S^{i_s} does, and i_{s+1} = i_s mod p_s.
 
-    On failure, reports the first level where R does not act as any power of
-    the odometer S.
+    R is refined once to the depth-(t+1) cylinders.  Indices are mixed-radix
+    with level 0 least significant, so the index of a word's length-(s+1)
+    prefix is its index mod p_s.  R rotates the depth-(s+1) cycle when every
+    image word has length at least s + 1 and index(v) - index(u) takes one
+    value mod p_s.  On failure, reports the first level where R does not act
+    as any power of the odometer S.
     """
     R = as_prefix_map(R)
     sig = S.sig
+    if R.sig != sig:
+        raise ValueError("signature mismatch")
+    if depth < 0:
+        raise ValueError(f"depth must not be negative, got {depth}")
+    pieces = refine_to(sig, R.branches, sig.words(depth + 1))
+    shortest = min(len(v) for _, v, _ in pieces)
+    diffs = [sig.index(v) - sig.index(u) for u, v, _ in pieces]
     indices = []
     moduli = []
+    p = 1
     for s in range(depth + 1):
-        p = sig.num_words(s + 1)
-        shifts = set()
-        ok = True
-        for idx in range(p):
-            w = sig.word_of_index(idx, s + 1)
-            img = R.image(Clopen(sig, (w,)))
-            if len(img.words) != 1 or len(img.words[0]) != s + 1:
-                ok = False
-                break
-            shifts.add((sig.index(img.words[0]) - idx) % p)
+        p *= sig.level(s)
+        shifts = {d % p for d in diffs}
         found = None
-        if ok and len(shifts) == 1:
+        if shortest > s and len(shifts) == 1:
             shift0 = shifts.pop()
             for i in range(p):
                 if (i * S.shift - shift0) % p == 0:
@@ -654,7 +651,7 @@ class TowerSystem(Value):
     """
 
     sig: Signature
-    levels: list
+    levels: tuple
 
     @staticmethod
     def from_cycle(cycle):
@@ -662,25 +659,23 @@ class TowerSystem(Value):
         for a in cycle:
             if a.is_empty:
                 raise ValueError("empty atom in cycle")
-        return TowerSystem(sig, [tuple(cycle)])
+        return TowerSystem(sig, (tuple(cycle),))
 
     def ensure_levels(self, k):
-        """Materialize at least k levels via the canonical refinement rule."""
-        while len(self.levels) < k:
-            t = len(self.levels) - 1
-            cycle = self.levels[-1]
+        """This system with at least k levels, by the canonical refinement
+        rule."""
+        levels = list(self.levels)
+        while len(levels) < k:
+            t = len(levels) - 1
+            cycle = levels[-1]
             lam = self.sig.level(t)
             split_parts = [a.split(lam) for a in cycle]
             new = []
             for q in range(lam):
                 for j in range(len(cycle)):
                     new.append(split_parts[j][q])
-            self.levels.append(tuple(new))
-        return self
-
-    def level(self, t):
-        self.ensure_levels(t + 1)
-        return self.levels[t]
+            levels.append(tuple(new))
+        return TowerSystem(self.sig, tuple(levels))
 
     def heights(self):
         return [len(c) for c in self.levels]

@@ -66,11 +66,6 @@ def canonical_clopen_homeo(A, B):
     return branches
 
 
-def restrict_fragment(sig, branches, A):
-    """Branches of the fragment restricted to domain pieces inside A."""
-    return refine_to(sig, branches, A.words)
-
-
 # -- overlap graphs and circulations ------------------------------------------
 
 
@@ -333,9 +328,7 @@ def extend_cyclic_partition_to_odometer(cycle, levels=2):
     """Tower system over a cyclic clopen partition, with canonical refinement."""
     if not is_partition(list(cycle)):
         raise ValueError("cycle is not a clopen partition of the space")
-    t = TowerSystem.from_cycle(list(cycle))
-    t.ensure_levels(levels)
-    return t
+    return TowerSystem.from_cycle(list(cycle)).ensure_levels(levels)
 
 
 # -- fundamental domains and aperiodization ------------------------------------
@@ -445,9 +438,8 @@ def aperiodize_periodic(P, epsilon, p=None):
         cells.extend(bad + (d,) for d in range(lam))
     sigma = [(w, w, 1) for w in sorted(cells)]
     top = Pm.power(p - 1).image(E)
-    rest = Clopen.full(Pm.sig) - top
-    branches = restrict_fragment(Pm.sig, list(Pm.branches), rest)
-    on_top = restrict_fragment(Pm.sig, list(Pm.branches), top)
+    branches = refine_to(Pm.sig, Pm.branches, top.complement().words)
+    on_top = refine_to(Pm.sig, Pm.branches, top.words)
     branches += compose_branches(Pm.sig, sigma, on_top)
     T = PrefixMap.make(Pm.sig, branches)
     dw = weak_distance(T, Pm)
@@ -547,8 +539,8 @@ def _separated_cover_exists(Tm, sep, depth, cycles=None):
         for j in range(1, sep):
             if j > len(powers):
                 powers.append(Tm.after(powers[-1]))
-            image = powers[j - 1]._cylinder_image(w)
-            if any(is_prefix(v, w) or is_prefix(w, v) for v in image):
+            image = refine_to(sig, powers[j - 1].branches, [w])
+            if any(is_prefix(v, w) or is_prefix(w, v) for _, v, _ in image):
                 return False
     return True
 
@@ -705,17 +697,15 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon):
         castle = rokhlin_castle(Tm, n, measures, Fraction(1, 2))
         towers = castle.towers
         sig = Tm.sig
-        branches = []
+        # off the tops, S is T
+        tops = Clopen.make(sig, [w for *_, lvls in towers for w in lvls[-1].words])
+        branches = refine_to(sig, Tm.branches, tops.complement().words)
         q = len(towers)
         for idx, (base, h, levels) in enumerate(towers):
-            body = Clopen.empty(sig)
-            for lvl in levels[:-1]:
-                body = body | lvl
-            branches += restrict_fragment(sig, list(Tm.branches), body)
             nxt_base = towers[(idx + 1) % q][0]
             if Tm.image(levels[-1]) == nxt_base:
                 # T already sends this top onto the next base; keep it
-                branches += restrict_fragment(sig, list(Tm.branches), levels[-1])
+                branches += refine_to(sig, Tm.branches, levels[-1].words)
             else:
                 branches += canonical_clopen_homeo(levels[-1], nxt_base)
         S = PrefixMap.make(sig, branches)

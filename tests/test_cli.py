@@ -108,6 +108,7 @@ BASE3 = "odometer:base(;3)"
         ["defect", BASE3, "swap", "--measure", "uniform", "--partition", "{0},{1},{2}"],
         ["defect", "swap", BASE3, "--measure", "uniform", "--partition", "{0},{1}",
          "--kind", "bar-tau"],
+        ["centralizer", "odometer:dyadic", BASE3],
     ],
 )
 def test_maps_over_different_signatures_are_refused(capsys, argv):
@@ -126,6 +127,9 @@ def test_maps_over_different_signatures_are_refused(capsys, argv):
         (["measure", "uniform x", "clopen dyadic {0}"], "trailing input after measure"),
         (["defect", "swap", "id", "--measure", "uniform", "--partition", "{0},{1} x"],
          "trailing input after partition"),
+        (["centralizer", "odometer:dyadic", "odometer:dyadic", "--depth", "-1"],
+         "--depth must not be negative, got -1"),
+        (["tabulate", "swap", "--depth", "-1"], "--depth must not be negative, got -1"),
     ],
 )
 def test_bad_arguments_are_refused_by_name(capsys, argv, reason):

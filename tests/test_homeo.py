@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantordyn import space
 from cantordyn.space import (
     DYADIC,
     Clopen,
@@ -34,10 +35,11 @@ from cantordyn.homeo import (
     point_add,
     power,
     refine_branch,
+    refine_to,
     sup_pointwise_distance,
     weak_distance,
 )
-from cantordyn.synth import fundamental_domain, restrict_fragment, truncation
+from cantordyn.synth import fundamental_domain, truncation
 from cantordyn.gen import random_clopen, random_homeo, random_point
 
 from conftest import SIGS, mask
@@ -226,6 +228,8 @@ def test_centralizer_index_sequences():
             assert (i - k) % p == 0
     res = centralizer_index_sequence(SWAP, S, 4)
     assert not res["ok"] and res["failure_level"] <= 2
+    with pytest.raises(ValueError, match="depth must not be negative"):
+        centralizer_index_sequence(S.as_map(), S, -1)
 
 
 def test_centralizer_matches_commutation():
@@ -238,11 +242,12 @@ def test_centralizer_matches_commutation():
 
 def test_tower_system_refinement():
     sig = DYADIC
-    t = TowerSystem.from_cycle(
-        [Clopen.cylinder(sig, (0,)), Clopen.cylinder(sig, (1,))]
-    )
-    t.ensure_levels(3)
-    assert t.heights() == [2, 4, 8]
+    cycle = [Clopen.cylinder(sig, (0,)), Clopen.cylinder(sig, (1,))]
+    t0 = TowerSystem.from_cycle(cycle)
+    t = t0.ensure_levels(3)
+    # refining builds a new system and leaves the first as it was
+    assert t0 == TowerSystem.from_cycle(cycle) and t0.heights() == [2]
+    assert t.heights() == [2, 4, 8] and hash(t) == hash(t.ensure_levels(2))
     for level in t.levels:
         assert is_partition(list(level))
     # the tower agrees with the odometer on every materialized level
@@ -409,8 +414,8 @@ def test_compose_branches_on_partial_fragments(sig):
     for _ in range(25):
         S, T = random_homeo(rng, sig), random_homeo(rng, sig)
         A = random_clopen(rng, sig)
-        first = restrict_fragment(sig, T.branches, A)
-        second = restrict_fragment(sig, S.branches, T.image(A))
+        first = refine_to(sig, T.branches, A.words)
+        second = refine_to(sig, S.branches, T.image(A).words)
         composed = compose_branches(sig, second, first)
         depth = 1 + max((len(w) for br in composed for w in br[:2]), default=0)
         assert mask(Clopen.make(sig, [u for u, _, _ in composed]), depth) == mask(
@@ -712,3 +717,129 @@ def test_common_refinement_costs_the_branches():
 def test_make_refuses_overlapping_words(branches, reason):
     with pytest.raises(ValueError, match=f"{reason} words overlap"):
         PrefixMap.make(DYADIC, branches)
+
+
+# -- the restriction walk ----------------------------------------------------------
+
+
+def _random_dyadic_tree_pair(rng, leaves):
+    """A tree pair whose domain and range trees each grow to the given number
+    of leaves by splitting leaves drawn at random."""
+    trees = []
+    for _ in range(2):
+        words = [()]
+        while len(words) < leaves:
+            w = words.pop(rng.randrange(len(words)))
+            words += [w + (0,), w + (1,)]
+        trees.append(sorted(words))
+    dom, rng_words = trees
+    rng.shuffle(rng_words)
+    return PrefixMap.tree_pair(DYADIC, list(zip(dom, rng_words)))
+
+
+def _image_maps(rng):
+    """Maps over each test signature: tree pairs with up to 128 branches,
+    composed maps and conjugates of the dissipative DISS."""
+    yield _random_dyadic_tree_pair(rng, rng.randint(1, 128))
+    yield DISS.after(_random_dyadic_tree_pair(rng, rng.randint(1, 32)))
+    for sig in SIGS:
+        yield random_homeo(rng, sig, depth=rng.randint(1, 5))
+        yield random_homeo(rng, sig).after(random_homeo(rng, sig))
+    S = random_homeo(rng, DYADIC)
+    yield DISS.after(S).after(DISS.inverse())
+
+
+def _scan_image(T, A):
+    """Image of A read word by word off a scan of every branch of T."""
+    words = []
+    for w in A.words:
+        for br in T.branches:
+            u, v, _ = br
+            if w[: len(u)] == u:
+                words.append(refine_branch(T.sig, br, w)[1])
+                break
+            if u[: len(w)] == w:
+                words.append(v)
+    return Clopen.make(T.sig, words)
+
+
+def test_image_matches_the_branch_scan_oracle():
+    rng = random.Random(53)
+    for _ in range(40):
+        for T in _image_maps(rng):
+            for _ in range(4):
+                A = random_clopen(rng, T.sig, depth=rng.randint(1, 9), max_words=24)
+                assert T.image(A) == _scan_image(T, A)
+
+
+def _intersect_then_walk(sig, branches, words):
+    """The restriction as first defined: the pieces are the intersection of
+    the domain words and the words, each refined from the branch above it."""
+    out = []
+    i = 0
+    for w in space._intersection([u for u, _, _ in branches], words):
+        while w[: len(branches[i][0])] != branches[i][0]:
+            i += 1
+        out.append(refine_branch(sig, branches[i], w))
+    return out
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_refine_to_matches_intersect_then_walk(sig):
+    """On partial fragments (a random subset of a map's branches, or a
+    composed fragment) and on canonical or complete-depth word lists."""
+    rng = random.Random(59)
+    for _ in range(150):
+        S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+        if rng.random() < 0.5:
+            A = random_clopen(rng, sig)
+            frag = refine_to(sig, T.branches, A.words)
+            frag = sorted(compose_branches(sig, S.branches, frag))
+        else:
+            frag = [br for br in S.after(T).branches if rng.random() < 0.6]
+        if rng.random() < 0.5:
+            words = list(random_clopen(rng, sig, depth=5, max_words=8).words)
+        else:
+            words = sig.words(rng.randint(0, 4))
+        assert refine_to(sig, frag, words) == _intersect_then_walk(sig, frag, words)
+
+
+def test_image_refines_at_most_words_plus_branches(monkeypatch):
+    rng = random.Random(61)
+    calls = []
+
+    def counted(sig, br, w):
+        calls.append(None)
+        return refine_branch(sig, br, w)
+
+    monkeypatch.setattr(homeo, "refine_branch", counted)
+    for _ in range(30):
+        for T in _image_maps(rng):
+            A = random_clopen(rng, T.sig, depth=rng.randint(1, 9), max_words=24)
+            del calls[:]
+            T.image(A)
+            assert len(calls) <= len(A.words) + len(T.branches)
+
+
+# sha256 of the results below as first recorded: the indices and moduli, the
+# failure level, or the refusal of an odometer over another signature
+CENTRALIZER_SHA256 = "4a2f562a0f0315a1b3760f417a0d2978b1eb5689baa84775b0a34fabcad2b70f"
+
+
+def test_centralizer_digest():
+    h = hashlib.sha256()
+    rng = random.Random(67)
+    for i in range(300):
+        sig = SIGS[i % 3]
+        R = random_homeo(rng, sig)
+        if rng.random() < 0.5:
+            R = R.after(random_homeo(rng, sig))
+        for k in (1, -1, 3):
+            S = Odometer(sig if i % 10 else SIGS[(i + 1) % 3], k)
+            for depth in range(5):
+                try:
+                    res = centralizer_index_sequence(R, S, depth)
+                except ValueError as exc:
+                    res = str(exc)
+                h.update(_sorted_repr(res).encode() + b"\n")
+    assert h.hexdigest() == CENTRALIZER_SHA256

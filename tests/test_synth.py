@@ -48,7 +48,7 @@ from cantordyn.synth import (
     rokhlin_castle,
     truncation,
 )
-from cantordyn.gen import random_homeo, random_partition, random_point
+from cantordyn.gen import random_clopen, random_homeo, random_partition, random_point
 
 from conftest import SIGS, mask
 
@@ -69,6 +69,39 @@ def test_canonical_clopen_homeo_maps_onto_target():
     assert m.image(A) == B
     with pytest.raises(ValueError):
         canonical_clopen_homeo(A, Clopen.empty(SIG))
+
+
+BASE23 = Signature((), (2, 3))
+
+
+def _parity_class(A):
+    """(#even-length words + 3 #odd-length words) mod 5, over base(;2,3).
+
+    Splitting an even-length word gives 2 odd-length ones (2 * 3 = 1 mod 5)
+    and splitting an odd-length word 3 even-length ones, so the class does
+    not depend on the words chosen for A.
+    """
+    odd = sum(len(w) % 2 for w in A.words)
+    return (len(A.words) - odd + 3 * odd) % 5
+
+
+def test_maps_over_base23_keep_the_parity_class():
+    """Every branch keeps the parity of the word length, so no map sends a
+    set onto one of another class."""
+    rng = random.Random(71)
+    for _ in range(500):
+        T = random_homeo(rng, BASE23)
+        if rng.random() < 0.5:
+            T = T.after(random_homeo(rng, BASE23))
+        A = random_clopen(rng, BASE23)
+        assert _parity_class(T.image(A)) == _parity_class(A)
+
+
+def test_canonical_clopen_homeo_refuses_sets_of_another_parity_class():
+    full, A = Clopen.full(BASE23), Clopen.cylinder(BASE23, (0,))
+    assert (_parity_class(full), _parity_class(A)) == (1, 3)
+    with pytest.raises(ValueError, match="tail alphabets differ"):
+        canonical_clopen_homeo(full, A)
 
 
 def test_minimal_circulation_balance_and_minimality():

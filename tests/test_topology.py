@@ -82,7 +82,7 @@ def test_tower_interval_inverts_once(inversions):
     t = TowerSystem.from_cycle(
         [Clopen.cylinder(SIG, (0,)), Clopen.cylinder(SIG, (1,))]
     )
-    t.ensure_levels(4)
+    t = t.ensure_levels(4)
     assert len(t.levels[-1]) == 16
     for other in (SWAP, Odometer(SIG, 1)):
         inversions.clear()
@@ -94,7 +94,7 @@ def test_weak_interval_and_indeterminate():
     t = TowerSystem.from_cycle(
         [Clopen.cylinder(SIG, (0,)), Clopen.cylinder(SIG, (1,))]
     )
-    t.ensure_levels(3)
+    t = t.ensure_levels(3)
     od = Odometer(SIG, 1)
     lo, hi = weak_distance_interval(t, od)
     assert lo == 0 and hi == Fraction(1, 4)
@@ -102,7 +102,7 @@ def test_weak_interval_and_indeterminate():
     with pytest.raises(IndeterminateAtDepth):
         in_neighborhood(t, WeakBall(od, Fraction(1, 8)))
     # refining the tower shrinks the interval and resolves the query
-    t.ensure_levels(5)
+    t = t.ensure_levels(5)
     assert in_neighborhood(t, WeakBall(od, Fraction(1, 8))).ok
 
 
