@@ -40,7 +40,7 @@ class CliError(Exception):
 # Input caps: each refuses, before any work, a request whose output or work
 # grows past what one call is meant to do.
 WORD_CAP = 1 << 16  # depth-d cylinders that one --depth may enumerate
-BOUND_CAP = 1024  # powers that one periods or fullgroup --bound may compose
+BOUND_CAP = 1024  # powers one periods/fullgroup --bound or rokhlin --n may take
 COUNT_CAP = 10_000  # documents that one gen call may print
 
 
@@ -343,6 +343,7 @@ def cmd_synth(args, out):
 
 
 def cmd_rokhlin(args, out):
+    _cap("--n", args.n, BOUND_CAP)
     from .synth import rokhlin_castle
 
     T = resolve_homeo(args.target)

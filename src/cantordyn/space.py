@@ -313,10 +313,6 @@ class Clopen(Value):
     def is_empty(self):
         return not self.words
 
-    @property
-    def is_full(self):
-        return self.words == ((),)
-
     def _check(self, other):
         if self.sig != other.sig:
             raise ValueError("signature mismatch")
@@ -409,16 +405,17 @@ def cyclic_partition(sig, t):
 
 
 def is_partition(sets):
-    """Exact check: pairwise disjoint with union the whole space."""
+    """Exact check: pairwise disjoint with union the whole space.  In sorted
+    order the words between a word and its extension extend it too, so two
+    sets meet iff some word is a prefix of the word after it."""
     if not sets:
         return False
-    sig = sets[0].sig
-    acc = Clopen.empty(sig)
     for s in sets:
-        if not (acc & s).is_empty:
-            return False
-        acc = acc | s
-    return acc.is_full
+        sets[0]._check(s)
+    words = sorted(w for s in sets for w in s.words)
+    if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
+        return False
+    return _collapse(sets[0].sig, words) == ((),)
 
 
 class Point(Value):

@@ -9,6 +9,7 @@ into or out of itself).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .space import Clopen, Value, is_prefix, is_partition, partition_at_depth
@@ -505,8 +506,7 @@ def _first_return_towers(Tm, Tinv, B, cap):
     guards against a search without end.
     """
     towers = []
-    remaining = B
-    back = B  # T^-h(B)
+    remaining = back = B  # back is T^-h(B)
     h = 0
     while not remaining.is_empty:
         h += 1
@@ -515,10 +515,7 @@ def _first_return_towers(Tm, Tinv, B, cap):
         back = Tinv.image(back)
         ret = remaining & back
         if not ret.is_empty:
-            levels = [ret]
-            for _ in range(h - 1):
-                levels.append(Tm.image(levels[-1]))
-            towers.append((ret, h, levels))
+            towers.append((ret, h, list(_iterates(Tm, ret, h))))
             remaining = remaining - ret
     return towers
 
@@ -545,66 +542,83 @@ def _separated_cover_exists(Tm, sep, depth, cycles=None):
     return True
 
 
-def _shifted_top_castle(Tinv, towers0, n, measures):
+def _level_masses(measures):
+    """A table of level masses: each level is measured once per measure."""
+    return cache(lambda lvl: [measure_of(mu, lvl) for mu in measures])
+
+
+def _bound(blocks, n, masses):
+    """Per measure, mu(union of T^-j B, j < n) for the base B of blocks (each
+    a list of levels, the first its base) whose levels partition the space,
+    every top going into a block base.  A point on level l >= 1 of a block
+    of height h next meets B h - l steps on, so the points outside the union
+    are those on levels 1..h-n: the bound is mu(space) minus their masses.
+    """
+    bound = list(masses(Clopen.full(blocks[0][0].sig)))
+    for levels in blocks:
+        for lvl in levels[1 : len(levels) - n + 1]:
+            bound = [b - m for b, m in zip(bound, masses(lvl))]
+    return bound
+
+
+def _best_castle(candidates, n, masses):
+    """The castle of the first candidate block list with the largest least
+    bound.  Blocks of one height form one tower, and the towers go by
+    increasing height, as first return times do."""
+    blocks = max(candidates, key=lambda c: min(_bound(c, n, masses)))
+    sig = blocks[0][0].sig
+    towers = []
+    for h in sorted({len(b) for b in blocks}):
+        same = zip(*(b for b in blocks if len(b) == h))
+        levels = [Clopen.make(sig, [w for x in lvls for w in x.words]) for lvls in same]
+        towers.append((levels[0], h, levels))
+    base = Clopen.make(sig, [w for b in blocks for w in b[0].words])
+    return Castle(towers=towers, base=base, bound=_bound(blocks, n, masses))
+
+
+def _shifted_top_castle(Tinv, towers0, n, masses):
     """Best castle over T^-K of the tops, K in [0, n), preferring the deepest
     pullback on ties.
 
-    The cover of T^-K of the tops is the union of T^-j of the tops for
-    K <= j < K + n, so each cover after the first is T^-1 of the one before.
+    The tops make up T^-1(B0), so T^-K of them is T^-(K+1)(B0), whose return
+    towers are those of B0 pulled back K+1 steps: T^-j(base_h) for
+    j = K+1..1, then levels_h[0 : h-K-1].  Every point of B0 returns after
+    at least n steps, so for j <= n, T^-j(B0) is the union of the levels
+    h - j, and the last tower's pullbacks are what the others leave of it.
     """
     sig = Tinv.sig
-    V = Clopen.make(sig, [w for _, _, levels in towers0 for w in levels[-1].words])
-    pullbacks = list(_iterates(Tinv, V, n))
-    cover = Clopen.make(sig, [w for B in pullbacks for w in B.words])
-    best = None
-    for K, (B, covered) in enumerate(zip(pullbacks, _iterates(Tinv, cover, n))):
-        bounds = [measure_of(mu, covered) for mu in measures]
-        if best is None or (min(bounds), K) > (min(best[1]), best[2]):
-            best = (B, bounds, K)
-    B, bounds, _ = best
-    return B, bounds
+    pulls = [list(_iterates(Tinv, base, n + 1))[1:] for base, _, _ in towers0[:-1]]
+    last = []
+    for j in range(1, n + 1):
+        back = Clopen.make(sig, [w for _, h, lv in towers0 for w in lv[h - j].words])
+        last.append(back - Clopen.make(sig, [w for p in pulls for w in p[j - 1].words]))
+    pulls.append(last)
+    candidates = (
+        [p[K::-1] + lv[: h - K - 1] for (_, h, lv), p in zip(towers0, pulls)]
+        for K in reversed(range(n))
+    )
+    return _best_castle(candidates, n, masses)
 
 
-def _sliced_castle(towers0, n, measures):
+def _sliced_castle(towers0, n, masses):
     """Slice tall return towers into height-n blocks, one block per tower
-    absorbing the height remainder.  The candidate leftover sets for the
-    different absorber positions are pairwise disjoint, so when there are
-    more than (number of measures)/epsilon candidates one of them must
-    leave less than epsilon uncovered.
-
-    The bounds come from level masses, exactly.  The levels of the return
-    towers partition the space, because the separated base meets every
-    orbit.  A point on level l >= 1 of a block of length L first meets a
-    block base L - l steps on (the top of a tower goes to a tower base), so
-    the points whose next visit to the base B is n or more steps on are
-    those on levels 1..r of each tower's absorber block, r = h mod n.  For absorber position
-    b*, with a0 = min(b*, h // n - 1) * n in a tower of height h,
-
-        mu(union of T^-j B, j < n) = mu(space) - sum of mu(levels a0+1..a0+r).
+    absorbing the height remainder, at the first absorber position b* with
+    the largest bound.  The candidate leftover sets for the different
+    absorber positions are pairwise disjoint, so when there are more than
+    (number of measures)/epsilon candidates one of them must leave less
+    than epsilon uncovered.
     """
-    sig = towers0[0][0].sig
-    total = [measure_of(mu, Clopen.full(sig)) for mu in measures]
-    leftover = {}  # (tower, a0) -> masses of levels a0+1..a0+r
-    best = None
-    for bstar in range(min(h // n for _, h, _ in towers0)):
-        bounds = total
-        for t, (_, h, levels) in enumerate(towers0):
-            a0 = min(bstar, h // n - 1) * n
-            if (t, a0) not in leftover:
-                rest = levels[a0 + 1 : a0 + 1 + h % n]
-                leftover[t, a0] = [
-                    sum(measure_of(mu, lvl) for lvl in rest) for mu in measures
-                ]
-            bounds = [b - m for b, m in zip(bounds, leftover[t, a0])]
-        if best is None or min(bounds) > min(best[1]):
-            best = (bstar, bounds)
-    bstar, bounds = best
-    words = []
-    for _, h, levels in towers0:
-        absorber = min(bstar, h // n - 1)
-        for b in range(h // n):
-            words += levels[b * n + (h % n if b > absorber else 0)].words
-    return Clopen.make(sig, words), bounds
+
+    def blocks(bstar):
+        out = []
+        for _, h, levels in towers0:
+            absorber, r = min(bstar, h // n - 1), h % n
+            cuts = [b * n + (r if b > absorber else 0) for b in range(h // n)] + [h]
+            out += [levels[a:z] for a, z in zip(cuts, cuts[1:])]
+        return out
+
+    bstars = range(min(h // n for _, h, _ in towers0))
+    return _best_castle(map(blocks, bstars), n, masses)
 
 
 def _refuse_periods(Tm, bound):
@@ -623,60 +637,52 @@ def rokhlin_castle(T, n, measures, epsilon):
     """Clopen castle of height >= n towers with the marked-base measure bound.
 
     Searches cover depths upward.  At each depth a first pass builds return
-    towers over a base separated by exactly n and shifts the tops; if the
-    exact bound falls short, a second pass separates by a multiple of n
-    large enough that slicing into height-n blocks provably leaves less
-    than epsilon uncovered for some absorber position.  When T permutes
-    the depth-d cylinders (PrefixMap.cycles), their cycles decide the cover
-    and place the separated base without composing powers of T.  Fails with
-    diagnostics at depth CASTLE_DEPTH_CAP.
-
-    The sliced bounds need no image: the return towers' levels partition
-    the space, because the separated base meets every orbit, so
-    mu(union of T^-j B, j < n) is mu(space) minus the masses of the levels
-    whose next block base is n or more steps on (see _sliced_castle).
+    towers over a base separated by exactly n and shifts the tops; if its
+    bound falls short, a second pass separates by a multiple of n large
+    enough that slicing into height-n blocks provably leaves less than
+    epsilon uncovered for some absorber position.  Both passes cut the
+    return towers into blocks of levels, bound each candidate by one rule
+    read from one table of level masses per depth (_bound), and return the
+    castle they measured.  When T permutes the depth-d cylinders
+    (PrefixMap.cycles), their cycles decide the cover and place the
+    separated base without composing powers of T.  Fails with diagnostics
+    at depth CASTLE_DEPTH_CAP.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     Tm = as_prefix_map(T)
     epsilon = _positive(epsilon)
     _refuse_periods(Tm, n)
-    slices = max(2, int(len(measures) / epsilon) + 1)
+    sep = max(2, int(len(measures) / epsilon) + 1) * n
     Tinv = Tm.inverse()
     last_diag = None
     for depth in range(1, CASTLE_DEPTH_CAP + 1):
         cycles = Tm.cycles(depth)
-        candidates = []
-        if _separated_cover_exists(Tm, n, depth, cycles):
-            B0 = _separated_base(Tm, Tinv, n, depth, cycles)
-            towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
-            candidates.append(_shifted_top_castle(Tinv, towers0, n, measures))
-        sep = slices * n
-        if _separated_cover_exists(Tm, sep, depth, cycles):
-            B0 = _separated_base(Tm, Tinv, sep, depth, cycles)
-            towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
-            candidates.append(_sliced_castle(towers0, n, measures))
-        if not candidates:
+        if not _separated_cover_exists(Tm, n, depth, cycles):
             last_diag = f"no separated cover at depth {depth}"
             continue
-        for B, bounds in candidates:
-            if all(b > 1 - epsilon for b in bounds):
-                towers = _first_return_towers(Tm, Tinv, B, cap=2 * n)
-                castle = Castle(towers=towers, base=B, bound=bounds)
-                _verify_castle(castle, n)
-                return castle
-        best = max(min(bounds) for _, bounds in candidates)
+        masses = _level_masses(measures)
+        B0 = _separated_base(Tm, Tinv, n, depth, cycles)
+        towers0 = _first_return_towers(Tm, Tinv, B0, 2 * n)
+        castle = _shifted_top_castle(Tinv, towers0, n, masses)
+        best = min(castle.bound)
+        if best <= 1 - epsilon and _separated_cover_exists(Tm, sep, depth, cycles):
+            B0 = _separated_base(Tm, Tinv, sep, depth, cycles)
+            towers0 = _first_return_towers(Tm, Tinv, B0, 2 * sep)
+            castle = _sliced_castle(towers0, n, masses)
+            best = max(best, min(castle.bound))
+        if min(castle.bound) > 1 - epsilon:
+            _verify_castle(castle, n)
+            return castle
         last_diag = f"best bound {best} at depth {depth} not above {1 - epsilon}"
     raise RuntimeError(f"castle search failed: {last_diag}")
 
 
 def _verify_castle(castle, n):
-    levels = castle.all_levels()
-    if not is_partition(levels):
+    if not is_partition(castle.all_levels()):
         raise RuntimeError("castle levels do not partition the space")
-    for _, h, _ in castle.towers:
-        if h < n:
-            raise RuntimeError("castle tower below requested height")
+    if any(h < n for _, h, _ in castle.towers):
+        raise RuntimeError("castle tower below requested height")
 
 
 def rank1_in_uniform_neighborhood(T, measures, epsilon):
@@ -712,18 +718,13 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon):
         E = difference_set(S, Tm)
         values = [open_diff_mass(mu, E) for mu in measures]
         if all(v < epsilon for v in values):
-            cycle = []
-            for base, h, levels in towers:
-                cycle.extend(levels)
-            tower = TowerSystem.from_cycle(cycle)
+            tower = TowerSystem.from_cycle(castle.all_levels())
             cert = {
                 "difference_set": E,
                 "measures_of_difference": values,
                 "castle_heights": [h for _, h, _ in towers],
             }
-            return SynthesisResult(
-                ok=True, homeo=S, tower=tower, certificate=cert
-            )
+            return SynthesisResult(ok=True, homeo=S, tower=tower, certificate=cert)
         last = values
         n *= 2
     raise RuntimeError(f"rank-1 search exhausted height doubling; last {last}")

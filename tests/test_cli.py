@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cantordyn import cli
+from cantordyn import cli, synth
 from cantordyn.cli import main
 from cantordyn.docformat import parse
 from cantordyn.space import DYADIC, Clopen
@@ -422,6 +422,8 @@ CAPPED = [
     (["fullgroup", "swap", "odometer:dyadic"], "--bound", cli.BOUND_CAP,
      cli.BOUND_CAP + 1, "cap"),
     (["gen"], "--count", cli.COUNT_CAP, cli.COUNT_CAP + 1, "cap"),
+    (["rokhlin", "--target", "odometer:dyadic", "--measure", "uniform", "--epsilon",
+      "1/2"], "--n", cli.BOUND_CAP, cli.BOUND_CAP + 1, "cap"),
 ]
 
 
@@ -445,6 +447,11 @@ def _stub_work(monkeypatch):
         seen.append(bound)
         return {}, None
 
+    def castle(T, n, measures, epsilon):
+        seen.append(n)
+        full = Clopen.full(DYADIC)
+        return synth.Castle(towers=[(full, n, [full] * n)], base=full, bound=[1])
+
     doc = parse("cdyn 1\nclopen dyadic {0}\n")
 
     def document(rng, kind):
@@ -456,6 +463,7 @@ def _stub_work(monkeypatch):
     monkeypatch.setattr(cli, "period_structure", periods)
     monkeypatch.setattr(cli, "full_group_membership", fullgroup)
     monkeypatch.setattr(cli, "random_document", document)
+    monkeypatch.setattr(synth, "rokhlin_castle", castle)
     return seen
 
 

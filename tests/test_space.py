@@ -17,7 +17,7 @@ from cantordyn.space import (
     partition_at_depth,
     point_distance,
 )
-from cantordyn.gen import random_clopen, random_point
+from cantordyn.gen import random_clopen, random_partition, random_point
 from cantordyn import docformat as df
 from cantordyn.homeo import Odometer, PrefixMap, TowerSystem, difference_set
 from cantordyn.measure import Dirac, Mixture, ProductMeasure
@@ -238,6 +238,39 @@ def test_partitions_at_depth():
     cyc = cyclic_partition(sig, 2)
     assert is_partition(cyc)
     assert [sig.index(a.words[0]) for a in cyc] == list(range(6))
+
+
+@pytest.mark.parametrize("sig", SIGS)
+def test_is_partition_against_mask_oracle(sig):
+    """Random partitions, left as they are or given an empty atom, a repeated
+    atom, an extra set that may overlap, or one atom fewer, judged by their
+    depth-4 word masks."""
+    rng = random.Random(29)
+    full = mask(Clopen.full(sig), 4)
+    seen = set()
+    for _ in range(300):
+        sets = random_partition(rng, sig, max_atoms=6)
+        change = rng.randrange(5)
+        if change == 1:
+            sets.append(Clopen.empty(sig))
+        elif change == 2:
+            sets.append(rng.choice(sets))
+        elif change == 3:
+            sets.append(random_clopen(rng, sig))
+        elif change == 4:
+            sets.pop(rng.randrange(len(sets)))
+        rng.shuffle(sets)
+        masks = [mask(s, 4) for s in sets]
+        union = frozenset().union(*masks)
+        expected = sum(map(len, masks)) == len(union) and union == full
+        assert is_partition(sets) == expected
+        seen.add((change, expected))
+    assert seen >= {(0, True), (1, True), (2, False), (3, True), (3, False), (4, False)}
+    assert not is_partition([])
+    assert is_partition([Clopen.empty(sig), Clopen.full(sig)])
+    other = SIGS[(SIGS.index(sig) + 1) % len(SIGS)]
+    with pytest.raises(ValueError, match="signature mismatch"):
+        is_partition([Clopen.full(sig), Clopen.empty(other)])
 
 
 def test_point_canonical_forms():

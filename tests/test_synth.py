@@ -29,6 +29,7 @@ from cantordyn.homeo import (
 from cantordyn.synth import (
     _first_return_towers,
     _iterates,
+    _level_masses,
     _separated_base,
     _separated_cover_exists,
     _shifted_top_castle,
@@ -474,9 +475,9 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
         raise AssertionError("power called")
 
     monkeypatch.setattr(PrefixMap, "power", no_power)
-    B, bounds = _shifted_top_castle(Tinv, towers0, n, measures)
-    assert B == expected
-    assert bounds == covered_bounds(B)
+    castle = _shifted_top_castle(Tinv, towers0, n, _level_masses(measures))
+    assert castle.base == expected
+    assert castle.bound == covered_bounds(castle.base)
 
 
 def _skew(sig):
@@ -515,10 +516,10 @@ def _castle_measure(kind, sig, rng):
 )
 def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slices):
     """The shifted-top and sliced passes give the base and the bounds that
-    measuring the union of T^-j(B), j < n, of every candidate base gives.
-    The maps are odometer shifts, random_homeo maps (k None) and the
-    odometer conjugated by the uneven tree pair DISS, which is not
-    synchronous."""
+    measuring the union of T^-j(B), j < n, of every candidate base gives,
+    and their towers are the first-return towers over that base.  The maps
+    are odometer shifts, random_homeo maps (k None) and the odometer
+    conjugated by the uneven tree pair DISS, which is not synchronous."""
     if k == "tree pair":
         sig, Tm = SIG, DISS.after(as_prefix_map(OD)).after(DISS.inverse())
     elif k is None:
@@ -548,7 +549,13 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
         (min(covered_bounds(B)), K, B) for K, B in enumerate(_iterates(Tinv, V, n))
     ]
     _, _, B = max(shifted, key=lambda c: c[:2])
-    assert _shifted_top_castle(Tinv, towers0, n, measures) == (B, covered_bounds(B))
+    masses = _level_masses(measures)
+
+    def check(castle, B):
+        assert (castle.base, castle.bound) == (B, covered_bounds(B))
+        assert castle.towers == _first_return_towers(Tm, Tinv, B, cap=2 * sep)
+
+    check(_shifted_top_castle(Tinv, towers0, n, masses), B)
     # height-n blocks with the remainder on block b*; the first b* wins ties
     sliced = []
     for bstar in range(min(h // n for _, h, _ in towers0)):
@@ -561,7 +568,7 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
                 start += n + (r if b == min(bstar, blocks - 1) else 0)
         sliced.append(B)
     B = max(sliced, key=lambda B: min(covered_bounds(B)))
-    assert _sliced_castle(towers0, n, measures) == (B, covered_bounds(B))
+    check(_sliced_castle(towers0, n, masses), B)
 
 
 @pytest.mark.parametrize("sig", SIGS)
@@ -569,8 +576,8 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_castle_passes_image_little(sig, k, n, images):
     """The sliced pass reads its bounds off the tower levels and images
-    nothing; the shifted-top pass steps the tops and their cover back once
-    per K."""
+    nothing; the shifted-top pass steps the tower bases back, all but the
+    last one, whose pullbacks are what the others leave of the levels."""
     Tm = as_prefix_map(Odometer(sig, k))
     Tinv = Tm.inverse()
     measures = [ProductMeasure.uniform(sig), _skew(sig)]
@@ -578,11 +585,40 @@ def test_castle_passes_image_little(sig, k, n, images):
         depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
         B0 = _separated_base(Tm, Tinv, sep, depth)
         towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
+        masses = _level_masses(measures)
         images.clear()
-        _sliced_castle(towers0, n, measures)
+        _sliced_castle(towers0, n, masses)
         assert images == []
-        _shifted_top_castle(Tinv, towers0, n, measures)
+        _shifted_top_castle(Tinv, towers0, n, masses)
         assert len(images) <= 2 * (n - 1)
+
+
+def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
+    """The search finds first-return towers only for the separated bases
+    that a pass cuts into blocks, once per pass that runs at each depth, and
+    never again over the base it accepts."""
+    made, cut = [], []
+
+    def spy(fn, log):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append(out if fn is _first_return_towers else (fn, args[-3]))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(synth, "_first_return_towers", spy(_first_return_towers, made))
+    for fn in (_shifted_top_castle, _sliced_castle):
+        monkeypatch.setattr(synth, fn.__name__, spy(fn, cut))
+    skew = ProductMeasure.make(SIG, [], [(Fraction(1, 3), Fraction(2, 3))])
+    T = DISS.after(as_prefix_map(OD)).after(DISS.inverse())
+    for M in (OD, Odometer(SIG, 3), T):
+        for n in (2, 3, 4):
+            for eps in (Fraction(1, 4), Fraction(1, 8)):
+                rokhlin_castle(M, n, [UNI, skew], eps)
+    assert len(made) == len(cut)
+    assert all(towers0 is towers for towers0, (_, towers) in zip(made, cut))
+    assert {fn for fn, _ in cut} == {_shifted_top_castle, _sliced_castle}
 
 
 @pytest.mark.parametrize("sig", SIGS[:2])
@@ -648,6 +684,52 @@ def test_rokhlin_castle_of_a_map_that_is_not_synchronous(n, eps):
         cur = image(cur, back)
     assert castle.bound == [measure_of(UNI, covered)]
     assert castle.bound[0] > 1 - eps
+
+
+# sha256 of the castles below as first recorded; a change in any tower,
+# level, base, bound or refusal message changes it
+CASTLE_SHA256 = "bf4c4b067c1c46630eee548e11aba9e106089f916e139d85d2bfb8b4148b8324"
+
+
+def test_castle_digest():
+    """The criterion-04 grid, the (2,3) odometer, random_homeo maps over
+    every test signature with product and atom-mixture measures, and the
+    odometer conjugated by DISS, which is not synchronous."""
+    skew = ProductMeasure.make(SIG, [], [(Fraction(1, 3), Fraction(2, 3))])
+    mix = Mixture.make(SIG, [(Fraction(1, 2), UNI), (Fraction(1, 2), skew)])
+    epsilons = (Fraction(1, 4), Fraction(1, 8))
+    cases = [
+        (Odometer(SIG, k), n, measures, eps)
+        for k in (1, 3)
+        for n in (2, 3, 4)
+        for eps in epsilons
+        for measures in ([UNI], [UNI, mix])
+    ]
+    six = Signature((), (2, 3))
+    cases += [
+        (Odometer(six, 1), n, [ProductMeasure.uniform(six)], eps)
+        for n in (2, 3, 4)
+        for eps in epsilons
+    ]
+    rng = random.Random(2718)
+    for i in range(150):
+        sig = SIGS[i % 3]
+        T = random_homeo(rng, sig)
+        kinds = rng.sample(["uniform", "skew", "atom"], rng.randint(1, 2))
+        measures = [_castle_measure(kind, sig, rng) for kind in kinds]
+        eps = rng.choice([Fraction(1, 2), *epsilons])
+        cases.append((T, rng.randint(2, 4), measures, eps))
+    T = DISS.after(as_prefix_map(OD)).after(DISS.inverse())
+    cases += [(T, n, [UNI], eps) for n in (2, 3, 4) for eps in epsilons]
+    h = hashlib.sha256()
+    for T, n, measures, eps in cases:
+        try:
+            c = rokhlin_castle(T, n, measures, eps)
+            out = (c.towers, c.base, c.bound)
+        except (ValueError, RuntimeError) as exc:
+            out = str(exc)
+        h.update(repr(out).encode() + b"\n")
+    assert h.hexdigest() == CASTLE_SHA256
 
 
 @pytest.mark.parametrize("n", [0, -1])
