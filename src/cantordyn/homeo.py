@@ -536,36 +536,49 @@ def fixed_points(T):
     )
 
 
-def period_structure(T, max_power):
-    """Exact-period clopen parts and isolated periodic points up to a bound.
+def exact_period_steps(T, max_power):
+    """Yield (p, T^p, part, points) for p = 1, ..., max_power in turn: the
+    clopen part and the isolated points of exact period p.
 
     A point fixed by T^p and T^q is fixed by T^gcd(p, q), so the points of
     exact period p are the fixed points of T^p not fixed by any lower power.
+    Each power is composed only when the caller asks for its step.
     """
-    if max_power < 1:
-        raise ValueError(f"bound must be positive, got {max_power}")
     m = as_prefix_map(T)
-    sig = m.sig
-    exact = {}
-    iso_exact = {}
-    powers_equal_id = {}
-    covered = Clopen.empty(sig)
+    covered = Clopen.empty(m.sig)
     seen = []
-    cur = PrefixMap.identity(sig)
+    cur = PrefixMap.identity(m.sig)
     for p in range(1, max_power + 1):
         cur = m.after(cur)
         fix, iso = fixed_points(cur)
+        part = fix - covered
+        points = [x for x in iso if not x.in_clopen(covered) and x not in seen]
+        covered = covered | part
+        seen += points
+        yield p, cur, part, points
+
+
+def period_structure(T, max_power):
+    """Exact-period clopen parts and isolated periodic points up to a bound,
+    from every step of exact_period_steps."""
+    if max_power < 1:
+        raise ValueError(f"bound must be positive, got {max_power}")
+    m = as_prefix_map(T)
+    exact = {}
+    iso_exact = {}
+    powers_equal_id = {}
+    for p, cur, part, points in exact_period_steps(m, max_power):
+        exact[p] = part
+        iso_exact[p] = points
         powers_equal_id[p] = cur.is_identity()
-        exact[p] = fix - covered
-        iso_exact[p] = [x for x in iso if not x.in_clopen(covered) and x not in seen]
-        covered = covered | exact[p]
-        seen += iso_exact[p]
+    # the exact-period parts are disjoint
+    covered = Clopen.make(m.sig, [w for part in exact.values() for w in part.words])
     return {
         "exact_period_parts": exact,
         "isolated_periodic_points": iso_exact,
         "power_is_identity": powers_equal_id,
         "residual": covered.complement(),
-        "aperiodic_up_to_bound": covered.is_empty and not seen,
+        "aperiodic_up_to_bound": covered.is_empty and not any(iso_exact.values()),
     }
 
 

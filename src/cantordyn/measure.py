@@ -4,6 +4,12 @@ Three families, each exactly evaluable on clopen sets: product measures with
 eventually periodic level weights, Dirac measures at eventually periodic
 points, and finite convex mixtures of the other two.  No floating point.
 
+Masses are exact integer products: a word's mass is the product of its row
+entries' numerators over the product of their denominators, a set's and a
+mixture's masses are integer sums over a common denominator (clopen_ratio),
+and one Fraction is built per result, so every mass is the same reduced
+Fraction that digit-by-digit Fraction arithmetic gives.
+
 measure_text is the one notation for measures, as space.word_text is for
 words: the .cdyn documents print with it, and Mixture.make sorts its
 components by it, so a mixture is canonical as built.
@@ -12,8 +18,23 @@ components by it, so a mixture is canonical as built.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .space import Point, Value, point_text
+
+
+def _sum_ratios(ratios):
+    """Exact sum of (numerator, denominator) int pairs, over the lcm of the
+    denominators; neither the pairs nor the sum need be reduced."""
+    n, d = 0, 1
+    for a, b in ratios:
+        if b != d:
+            g = gcd(d, b)
+            n *= b // g
+            a *= d // g
+            d = d // g * b
+        n += a
+    return n, d
 
 
 def _check_weights(sig, rows, where):
@@ -77,14 +98,30 @@ class ProductMeasure(Value):
             return self.preweights[t]
         return self.cycleweights[(t - len(self.preweights)) % len(self.cycleweights)]
 
-    def word_mass(self, w):
-        m = Fraction(1)
+    def word_ratio(self, w):
+        """Mass of the cylinder of w as (numerator, denominator) ints: the
+        products of the numerators and of the denominators of its row
+        entries, not reduced."""
+        pre, cyc = self.preweights, self.cycleweights
+        p, c = len(pre), len(cyc)
+        num = den = 1
         for t, d in enumerate(w):
-            m *= self.row(t)[d]
-        return m
+            x = pre[t][d] if t < p else cyc[(t - p) % c][d]
+            num *= x.numerator
+            den *= x.denominator
+        return num, den
+
+    def word_mass(self, w):
+        return Fraction(*self.word_ratio(w))
+
+    def clopen_ratio(self, A):
+        return _sum_ratios(map(self.word_ratio, A.words))
 
     def clopen_mass(self, A):
-        return sum((self.word_mass(w) for w in A.words), Fraction(0))
+        words = A.words
+        if len(words) == 1:
+            return self.word_mass(words[0])
+        return Fraction(*self.clopen_ratio(A))
 
     def point_mass(self, x):
         # nonzero only when the weight of every digit along the tail is 1
@@ -106,6 +143,9 @@ class ProductMeasure(Value):
 class Dirac(Value):
     sig: object
     atom: Point
+
+    def clopen_ratio(self, A):
+        return (1, 1) if self.atom.in_clopen(A) else (0, 1)
 
     def clopen_mass(self, A):
         return Fraction(1) if self.atom.in_clopen(A) else Fraction(0)
@@ -132,8 +172,16 @@ class Mixture(Value):
             raise ValueError("mixture weights must sum to 1")
         return Mixture(sig, comps)
 
+    def clopen_ratio(self, A):
+        """Sum of weight times component mass, as (numerator, denominator)."""
+        ratios = []
+        for w, m in self.components:
+            a, b = m.clopen_ratio(A)
+            ratios.append((w.numerator * a, w.denominator * b))
+        return _sum_ratios(ratios)
+
     def clopen_mass(self, A):
-        return sum((w * m.clopen_mass(A) for w, m in self.components), Fraction(0))
+        return Fraction(*self.clopen_ratio(A))
 
     def point_mass(self, x):
         return sum((w * m.point_mass(x) for w, m in self.components), Fraction(0))

@@ -153,11 +153,13 @@ class Signature(Value):
         digit absorbs the carry, least significant first, and once the carry
         is 0 the remaining digits stay as they are.
         """
+        pre, per = self.preperiod, self.period
+        p, q = len(pre), len(per)
         out = []
-        for i, d in enumerate(r):
+        for t, d in enumerate(r, depth):
             if not c:
-                return tuple(out) + r[i:], 0
-            c, d = divmod(d + c, self.level(depth + i))
+                return tuple(out) + r[t - depth :], 0
+            c, d = divmod(d + c, pre[t] if t < p else per[(t - p) % q])
             out.append(d)
         return tuple(out), c
 

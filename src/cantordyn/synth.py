@@ -9,7 +9,6 @@ into or out of itself).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .space import Clopen, Value, is_prefix, is_partition, partition_at_depth
@@ -21,9 +20,9 @@ from .homeo import (
     as_prefix_map,
     compose_branches,
     difference_set,
+    exact_period_steps,
     inf_pointwise_distance,
     invert_branches,
-    period_structure,
     refine_branch,
     refine_to,
     weak_distance,
@@ -543,8 +542,20 @@ def _separated_cover_exists(Tm, sep, depth, cycles=None):
 
 
 def _level_masses(measures):
-    """A table of level masses: each level is measured once per measure."""
-    return cache(lambda lvl: [measure_of(mu, lvl) for mu in measures])
+    """A table of level masses: each level is measured once per measure.
+
+    The table is keyed by the level's word tuple: every level of one castle
+    search lies over the one signature of T, so its words name it exactly.
+    """
+    table = {}
+
+    def masses(lvl):
+        m = table.get(lvl.words)
+        if m is None:
+            m = table[lvl.words] = [measure_of(mu, lvl) for mu in measures]
+        return m
+
+    return masses
 
 
 def _bound(blocks, n, masses):
@@ -552,13 +563,12 @@ def _bound(blocks, n, masses):
     a list of levels, the first its base) whose levels partition the space,
     every top going into a block base.  A point on level l >= 1 of a block
     of height h next meets B h - l steps on, so the points outside the union
-    are those on levels 1..h-n: the bound is mu(space) minus their masses.
+    are those on levels 1..h-n: the bound is mu(space) minus the sum of
+    their masses, one subtraction per measure.
     """
-    bound = list(masses(Clopen.full(blocks[0][0].sig)))
-    for levels in blocks:
-        for lvl in levels[1 : len(levels) - n + 1]:
-            bound = [b - m for b, m in zip(bound, masses(lvl))]
-    return bound
+    full = masses(Clopen.full(blocks[0][0].sig))
+    removed = [masses(lvl) for levels in blocks for lvl in levels[1 : len(levels) - n + 1]]
+    return [b - sum(m[i] for m in removed) for i, b in enumerate(full)]
 
 
 def _best_castle(candidates, n, masses):
@@ -622,15 +632,14 @@ def _sliced_castle(towers0, n, masses):
 
 
 def _refuse_periods(Tm, bound):
-    """Raise ValueError naming the first periodic part or point of period
-    at most bound, clopen parts first."""
-    info = period_structure(Tm, bound)
-    for q, part in info["exact_period_parts"].items():
+    """Raise ValueError naming the periodic part or point of the least
+    period q <= bound, a clopen part before a point of the same period.  No
+    power beyond T^q is composed."""
+    for q, _, part, points in exact_period_steps(Tm, bound):
         if not part.is_empty:
             raise ValueError(f"periodic points of period {q} found: {part}")
-    for q, pts in info["isolated_periodic_points"].items():
-        if pts:
-            raise ValueError(f"periodic point of period {q} found: {pts[0]}")
+        if points:
+            raise ValueError(f"periodic point of period {q} found: {points[0]}")
 
 
 def rokhlin_castle(T, n, measures, epsilon):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -307,6 +308,17 @@ def test_errors_exit_one(capsys):
     code, _, err = run(capsys, "rokhlin", "--target", "swap", "--n", "2",
                        "--measure", "uniform", "--epsilon", "1/4")
     assert code == 1 and "period" in err
+
+
+def test_periodic_refusal_stops_at_the_least_period(capsys):
+    """A map with a fixed point is refused after its first power, however
+    large --n is."""
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "rokhlin", "--target", DISS_DOC, "--n", "1000",
+                         "--measure", "uniform", "--epsilon", "1/2")
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err == "error: periodic point of period 1 found: Point[(0)]\n"
 
 
 def test_zero_denominator_exits_one_without_traceback():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordyn.space import DYADIC, Clopen, Point, Signature
 from cantordyn.measure import (
@@ -13,7 +14,7 @@ from cantordyn.measure import (
     point_mass,
 )
 from cantordyn.homeo import PrefixMap, difference_set
-from cantordyn.gen import random_clopen
+from cantordyn.gen import random_clopen, random_point
 
 from conftest import SIGS
 
@@ -97,3 +98,99 @@ def test_open_diff_mass_subtracts_removed_points():
     assert open_diff_mass(d, E) == 0
     mix = Mixture.make(sig, [(Fraction(1, 2), uni), (Fraction(1, 2), d)])
     assert open_diff_mass(mix, E) == Fraction(1, 2)
+
+
+# -- exact masses against a digit-by-digit Fraction oracle ---------------------
+
+
+def _oracle_row(rows, t):
+    """Weight row at level t of raw (preweights, cycleweights) rows."""
+    pre, cyc = rows
+    return pre[t] if t < len(pre) else cyc[(t - len(pre)) % len(cyc)]
+
+
+def _oracle_product(rows, words):
+    total = Fraction(0)
+    for w in words:
+        m = Fraction(1)
+        for t, d in enumerate(w):
+            m *= _oracle_row(rows, t)[d]
+        total += m
+    return total
+
+
+def _oracle_dirac(head, cycle, words):
+    def digit(t):
+        return head[t] if t < len(head) else cycle[(t - len(head)) % len(cycle)]
+
+    inside = any(all(digit(t) == d for t, d in enumerate(w)) for w in words)
+    return Fraction(int(inside))
+
+
+def _oracle_mass(mu, words):
+    if isinstance(mu, ProductMeasure):
+        return _oracle_product((mu.preweights, mu.cycleweights), words)
+    if isinstance(mu, Dirac):
+        return _oracle_dirac(mu.atom.head, mu.atom.cycle, words)
+    return sum((w * _oracle_mass(m, words) for w, m in mu.components), Fraction(0))
+
+
+@st.composite
+def products(draw, sig):
+    """Product measures whose rows run past the signature's preperiod and
+    repeat over one or two periods, with random weights, zeros included."""
+
+    def row(t):
+        size = sig.level(t)
+        raw = draw(
+            st.lists(st.integers(0, 5), min_size=size, max_size=size).filter(any)
+        )
+        return [Fraction(x, sum(raw)) for x in raw]
+
+    p = len(sig.period)
+    pre = len(sig.preperiod) + p * draw(st.integers(0, 1))
+    cyc = p * draw(st.integers(1, 2))
+    rows = [row(t) for t in range(pre + cyc)]
+    return ProductMeasure.make(sig, rows[:pre], rows[pre:])
+
+
+@st.composite
+def measures(draw, sig):
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["product", "uniform", "dirac", "mixture"]))
+    if kind == "product":
+        return draw(products(sig))
+    if kind == "uniform":
+        return ProductMeasure.uniform(sig)
+    dirac = Dirac(sig, random_point(rng, sig))
+    if kind == "dirac":
+        return dirac
+    parts = [draw(products(sig)), dirac, ProductMeasure.uniform(sig)]
+    raw = draw(st.lists(st.integers(1, 6), min_size=3, max_size=3))
+    return Mixture.make(sig, [(Fraction(x, sum(raw)), m) for x, m in zip(raw, parts)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SIGS + [Signature((3,), (2, 4))]).flatmap(
+        lambda sig: st.tuples(st.just(sig), measures(sig), st.randoms(use_true_random=False))
+    )
+)
+def test_masses_match_the_fraction_oracle(drawn):
+    """Product, Dirac and mixture masses of random clopen sets (one word and
+    many, depth up to 6) are the reduced Fractions that multiplying and
+    adding Fractions digit by digit gives.  The last signature has a
+    preperiod of odd length before a period of even length."""
+    sig, mu, rng = drawn
+    for max_words in (1, 8):
+        A = random_clopen(rng, sig, depth=6, max_words=max_words)
+        m = measure_of(mu, A)
+        assert type(m) is Fraction
+        assert m == _oracle_mass(mu, A.words)
+        if isinstance(mu, ProductMeasure):
+            for w in A.words:
+                assert mu.word_mass(w) == _oracle_product(
+                    (mu.preweights, mu.cycleweights), [w]
+                )
+    assert measure_of(mu, Clopen.full(sig)) == 1
+    assert measure_of(mu, Clopen.empty(sig)) == 0

@@ -75,16 +75,23 @@ def digit_word(sig, depth):
     )
 
 
+# a preperiod of odd length before a period of even length: counting the
+# period's positions from level 0, not from the end of the preperiod, reads
+# the wrong level size
+UNEVEN = Signature((3,), (2, 4))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.tuples(st.sampled_from(SIGS), st.integers(0, 5)).flatmap(
+    st.tuples(st.sampled_from(SIGS + [UNEVEN]), st.integers(0, 5)).flatmap(
         lambda sd: st.tuples(st.just(sd[0]), st.just(sd[1]), digit_word(*sd))
     ),
-    st.integers(-100, 100),
+    st.integers(-100, 100) | st.integers(-(10**6), 10**6),
 )
 def test_add_to_word_against_index(drawn, c):
     """r . y + c = r2 . (y + k): the mixed-radix value of the word absorbs c
-    up to a multiple of the number of words, which is the carry k."""
+    up to a multiple of the number of words, which is the carry k.  Large
+    c carries through every digit, across the preperiod and the period."""
     sig, depth, r = drawn
     r2, k = sig.add_to_word(depth, r, c)
     sub = sig.shift(depth)

@@ -593,6 +593,45 @@ def test_castle_passes_image_little(sig, k, n, images):
         assert len(images) <= 2 * (n - 1)
 
 
+def _cycle_branches(words):
+    """Branches sending each word to the next, the last back to the first
+    with carry 1."""
+    m = len(words)
+    return [(words[i], words[(i + 1) % m], int(i == m - 1)) for i in range(m)]
+
+
+# the depth-3 cylinders in a 3-cycle and a 5-cycle, each closing with carry 1:
+# synchronous, aperiodic, and its separated bases return at two heights
+TWO_CYCLES = PrefixMap.make(
+    SIG,
+    _cycle_branches([(0, 0, 0), (0, 0, 1), (0, 1, 0)])
+    + _cycle_branches([(0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]),
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_castle_passes_over_towers_of_two_heights(n, images):
+    """With two return heights the shifted-top pass images the first
+    tower's base and takes the last tower's pullbacks from what the first
+    leaves of the levels.  Both passes return the first-return towers over
+    their base and the measures of the union of T^-j of it, j < n."""
+    Tm, Tinv = TWO_CYCLES, TWO_CYCLES.inverse()
+    measures = [UNI, _skew(SIG)]
+    for sep in (n, 3 * n):
+        depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
+        B0 = _separated_base(Tm, Tinv, sep, depth)
+        towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
+        assert len({h for _, h, _ in towers0}) == 2
+        masses = _level_masses(measures)
+        images.clear()
+        shifted = _shifted_top_castle(Tinv, towers0, n, masses)
+        assert 0 < len(images) <= 2 * (n - 1)
+        for castle in (shifted, _sliced_castle(towers0, n, masses)):
+            assert castle.towers == _first_return_towers(Tm, Tinv, castle.base, 2 * sep)
+            cover = orbit_of(Tinv, castle.base, n)
+            assert castle.bound == [measure_of(mu, cover) for mu in measures]
+
+
 def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
     """The search finds first-return towers only for the separated bases
     that a pass cuts into blocks, once per pass that runs at each depth, and
@@ -807,6 +846,24 @@ def test_rank1_refuses_periods_up_to_eight_before_doubling(monkeypatch):
     # a castle of height 2 refuses only periods up to 2
     castle = rokhlin_castle(PERIOD_5, 2, [UNI], Fraction(1, 4))
     assert all(h >= 2 for _, h, _ in castle.towers)
+
+
+# PERIOD_5 on [0], and on [1] the uneven tree pair {0->00, 10->01, 11->1}
+# moved there, whose isolated fixed points are 1(0) and (1)
+FIXED_AND_PERIOD_5 = PrefixMap.make(
+    SIG,
+    [br for br in PERIOD_5.branches if br[0][0] == 0]
+    + [((1, 0), (1, 0, 0), 0), ((1, 1, 0), (1, 0, 1), 0), ((1, 1, 1), (1, 1), 0)],
+)
+
+
+def test_periodic_refusal_stops_at_the_least_period(compositions):
+    """The refusal names the least period, a point before a clopen part of a
+    larger period, and composes no power of T beyond it."""
+    refusal = r"periodic point of period 1 found: Point\[\(1\)\]"
+    with pytest.raises(ValueError, match=refusal):
+        rokhlin_castle(FIXED_AND_PERIOD_5, 1000, [UNI], Fraction(1, 2))
+    assert len(compositions) == 1
 
 
 def test_rank1_doubles_the_height_and_glues_the_tops(monkeypatch):
