@@ -32,6 +32,7 @@ map that is not synchronous.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .space import (
     Clopen,
@@ -608,11 +609,13 @@ def centralizer_index_sequence(R, S, depth):
     """Indices (i_0, ..., i_t) with R acting on the depth-(s+1) cylinder
     cycle exactly as S^{i_s} does, and i_{s+1} = i_s mod p_s.
 
-    R is refined once to the depth-(t+1) cylinders.  Indices are mixed-radix
+    R is refined one level at a time, to the depth-(s+1) cylinders at level
+    s, so a failure costs only the levels up to it.  Indices are mixed-radix
     with level 0 least significant, so the index of a word's length-(s+1)
     prefix is its index mod p_s.  R rotates the depth-(s+1) cycle when every
     image word has length at least s + 1 and index(v) - index(u) takes one
-    value mod p_s.  On failure, reports the first level where R does not act
+    value mod p_s; a deeper refinement only extends such words, so it keeps
+    both answers.  On failure, reports the first level where R does not act
     as any power of the odometer S.
     """
     R = as_prefix_map(R)
@@ -621,17 +624,22 @@ def centralizer_index_sequence(R, S, depth):
         raise ValueError("signature mismatch")
     if depth < 0:
         raise ValueError(f"depth must not be negative, got {depth}")
-    pieces = refine_to(sig, R.branches, sig.words(depth + 1))
-    shortest = min(len(v) for _, v, _ in pieces)
-    diffs = [sig.index(v) - sig.index(u) for u, v, _ in pieces]
+    pieces = R.branches
     indices = []
     moduli = []
+    places = []  # the place values of levels 0 .. s
     p = 1
     for s in range(depth + 1):
+        places.append(p)
         p *= sig.level(s)
-        shifts = {d % p for d in diffs}
+        pieces = refine_to(sig, pieces, sig.words(s + 1))
+        # the index mod p_s of a word is that of its first s + 1 digits
+        shifts = {
+            (sum(map(mul, v, places)) - sum(map(mul, u, places))) % p
+            for u, v, _ in pieces
+        }
         found = None
-        if shortest > s and len(shifts) == 1:
+        if min(len(v) for _, v, _ in pieces) > s and len(shifts) == 1:
             shift0 = shifts.pop()
             for i in range(p):
                 if (i * S.shift - shift0) % p == 0:

@@ -115,12 +115,13 @@ class ProductMeasure(Value):
         return Fraction(*self.word_ratio(w))
 
     def clopen_ratio(self, A):
-        return _sum_ratios(map(self.word_ratio, A.words))
-
-    def clopen_mass(self, A):
+        # one word needs no common-denominator sum
         words = A.words
         if len(words) == 1:
-            return self.word_mass(words[0])
+            return self.word_ratio(words[0])
+        return _sum_ratios(map(self.word_ratio, words))
+
+    def clopen_mass(self, A):
         return Fraction(*self.clopen_ratio(A))
 
     def point_mass(self, x):

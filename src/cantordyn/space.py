@@ -203,13 +203,15 @@ def _collapse(sig, ws):
             last = out[-1]
             if w[: len(last)] == last:
                 continue
+        # w closes a family only as its last sibling: digit lam - 1 >= 1,
+        # with its lam - 1 siblings on the stack; the level is read only then
         while w:
-            lam = sig.level(len(w) - 1)
-            k = len(out) - lam + 1
-            if w[-1] != lam - 1 or k < 0:
+            d = w[-1]
+            k = len(out) - d
+            if not d or k < 0 or d != sig.level(len(w) - 1) - 1:
                 break
             parent = w[:-1]
-            if out[k:] != [parent + (d,) for d in range(lam - 1)]:
+            if out[k:] != [parent + (i,) for i in range(d)]:
                 break
             del out[k:]
             w = parent

@@ -9,10 +9,11 @@ into or out of itself).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import lcm
 
 from .space import Clopen, Value, is_prefix, is_partition, partition_at_depth
-from .measure import measure_of, open_diff_mass
+from .measure import Dirac, Mixture, open_diff_mass
 from .homeo import (
     Odometer,
     PrefixMap,
@@ -116,12 +117,8 @@ def minimal_circulation(n, arcs):
         dist = [INF] * n
         prev = [None] * n
         dist[s] = 0
-        edges = []
-        for a in arcs:
-            edges.append((a, a[0], a[1], 1))  # forward, cost 1
-        for a in arcs:
-            if flow[a] > 0:
-                edges.append((a, a[1], a[0], -1))  # residual reverse
+        edges = [(a, a[0], a[1], 1) for a in arcs]  # forward, cost 1
+        edges += [(a, a[1], a[0], -1) for a in arcs if flow[a] > 0]  # residual reverse
         for _ in range(n):
             changed = False
             for a, u, v, c in edges:
@@ -137,12 +134,8 @@ def minimal_circulation(n, arcs):
         t = min(sinks, key=lambda v: (dist[v], v))
         v = t
         while v != s:
-            u, a, c = prev[v]
-            if c == 1:
-                flow[a] += 1
-            else:
-                flow[a] -= 1
-            v = u
+            v, a, c = prev[v]
+            flow[a] += c
         excess[s] -= 1
         excess[t] += 1
     return {a: 1 + flow[a] for a in arcs}
@@ -214,11 +207,9 @@ def overlap_graph(T, partition):
 def euler_circuit(vertices, arc_multiset, start):
     """Deterministic Hierholzer circuit; smallest unused arc first."""
     out = {v: [] for v in vertices}
+    # in sorted arc order each out-list is sorted as it is built
     for (i, j), m in sorted(arc_multiset.items()):
-        for k in range(m):
-            out[i].append((j, k))
-    for v in out:
-        out[v].sort()
+        out[i].extend((j, k) for k in range(m))
     ptr = {v: 0 for v in vertices}
     stack = [start]
     arc_stack = []
@@ -288,9 +279,7 @@ def odometer_in_weak_neighborhood(T, partition):
     tower = TowerSystem.from_cycle(pieces)
     Tm = as_prefix_map(T)
     cert = {
-        "set_images_match": all(
-            S.image(F) == Tm.image(F) for F in partition
-        ),
+        "set_images_match": all(S.image(F) == Tm.image(F) for F in partition),
         "cycle_length": len(pieces),
     }
     return SynthesisResult(
@@ -422,17 +411,12 @@ def aperiodize_periodic(P, epsilon, p=None):
     E = fundamental_domain(Pm, p)
     # cells of E whose whole P-orbit consists of sets of diameter < eps/2
     cells = list(E.words)
-    while True:
-        bad = None
-        for w in cells:
-            cyl = Clopen(Pm.sig, (w,))
-            if any(
-                img.diameter() >= epsilon / 2 for img in _iterates(Pm, cyl, p)
-            ):
-                bad = w
-                break
-        if bad is None:
-            break
+
+    def too_wide(w):
+        images = _iterates(Pm, Clopen(Pm.sig, (w,)), p)
+        return any(img.diameter() >= epsilon / 2 for img in images)
+
+    while (bad := next(filter(too_wide, cells), None)) is not None:
         cells.remove(bad)
         lam = Pm.sig.level(len(bad))
         cells.extend(bad + (d,) for d in range(lam))
@@ -464,12 +448,11 @@ class Castle(Value):
 
 
 def _separated_base(Tm, Tinv, n, depth, cycles=None):
-    """Greedy clopen set built from depth-d cylinders, visiting each orbit
-    with gaps in [n, 2n-1].
-
-    Given the depth-d cycles of T (PrefixMap.cycles), T^j moves each
-    cylinder to the word j places on along its cycle, so the pass runs on
-    cycle positions and composes nothing.
+    """Words of a greedy clopen set built from depth-d cylinders, visiting
+    each orbit with gaps in [n, 2n-1]: given the depth-d cycles of T
+    (PrefixMap.cycles), the depth-d words themselves, found on cycle
+    positions (T^j moves a cylinder j places on) with no composition;
+    otherwise the canonical words of the set.
     """
     sig = Tm.sig
     if cycles is not None:
@@ -482,7 +465,7 @@ def _separated_base(Tm, Tinv, n, depth, cycles=None):
                 cycle, i = where[w]
                 m = len(cycle)
                 blocked.update(cycle[(i + j) % m] for j in range(1 - n, n))
-        return Clopen.make(sig, base)
+        return base
     powers = _powers(Tm, n - 1) + _powers(Tinv, n - 1)
     B = Clopen.empty(sig)
     # union of T^j(B), 0 < |j| < n; a homeomorphism maps a union to the
@@ -494,7 +477,7 @@ def _separated_base(Tm, Tinv, n, depth, cycles=None):
             B = B | add
             for P in powers:
                 blocked = blocked | P.image(add)
-    return B
+    return B.words
 
 
 def _first_return_towers(Tm, Tinv, B, cap):
@@ -519,6 +502,35 @@ def _first_return_towers(Tm, Tinv, B, cap):
     return towers
 
 
+def _strands(Tm, Tinv, sep, depth, pull, cycles=None):
+    """One strand per piece of the base separated by sep: the word tuples of
+    T^-pull .. T^-1 of the piece, then of its return levels 0 .. h-1.  With
+    the depth-d cycles, a piece is a base word and its strand a slice of its
+    cycle.  Otherwise a piece is a first-return tower, pulled back by images
+    but for the last: as pull <= h, T^-j(B) is the union of the levels h - j,
+    and the last tower's pullbacks are what the other towers leave of it."""
+    words = _separated_base(Tm, Tinv, sep, depth, cycles)
+    strands = []
+    if cycles is not None:
+        base = set(words)
+        for cycle in cycles:
+            m = len(cycle)
+            starts = [i for i, w in enumerate(cycle) if w in base]
+            for i, j in zip(starts, starts[1:] + [starts[0] + m]):
+                strands.append([(cycle[k % m],) for k in range(i - pull, j)])
+        return strands
+    sig = Tm.sig
+    towers = _first_return_towers(Tm, Tinv, Clopen(sig, words), 2 * sep)
+    for b, _, levels in towers[:-1]:
+        strands.append(list(_iterates(Tinv, b, pull + 1))[:0:-1] + levels)
+    last = towers[-1][2]
+    for j in range(1, pull + 1):
+        back = Clopen.make(sig, chain(*(lv[h - j].words for _, h, lv in towers)))
+        rest = Clopen.make(sig, chain(*(s[pull - j].words for s in strands)))
+        last = [back - rest] + last
+    return [[A.words for A in s] for s in strands + [last]]
+
+
 def _separated_cover_exists(Tm, sep, depth, cycles=None):
     """True when no depth-d cylinder meets its image under T^j, 0 < j < sep.
 
@@ -541,94 +553,89 @@ def _separated_cover_exists(Tm, sep, depth, cycles=None):
     return True
 
 
-def _level_masses(measures):
-    """A table of level masses: each level is measured once per measure.
-
-    The table is keyed by the level's word tuple: every level of one castle
-    search lies over the one signature of T, so its words name it exactly.
+def _best_windows(strands, candidates, spans, n, measures):
+    """Bounds and windows of the first candidate with the largest least
+    bound.  A candidate's windows (s, a, h), levels a .. a+h-1 of strand s,
+    are blocks that partition the space, every top going into a block base.
+    A point on level l >= 1 next meets the base h - l steps on, so the bound
+    mu(union of T^-j B, j < n) is mu(space) minus the masses of levels
+    1 .. h-n: per measure, integer prefix sums over one common denominator
+    and one Fraction.  Only the index ranges spans[s] that some window
+    removes are measured; the other elements count 0.
     """
-    table = {}
+    sig = measures[0].sig
+    sums = []
+    for mu in measures:
+        ratios = [
+            [(i, mu.clopen_ratio(Clopen(sig, st[i]))) for r in span for i in r]
+            for st, span in zip(strands, spans)
+        ]
+        num, den = mu.clopen_ratio(Clopen.full(sig))
+        D = lcm(den, *{b for row in ratios for _, (_, b) in row})
+        runs = []
+        for st, row in zip(strands, ratios):
+            mass = [0] * (len(st) + 1)
+            for i, (a, b) in row:
+                mass[i + 1] = a * (D // b)
+            runs.append(list(accumulate(mass)))
+        sums.append((num * (D // den), D, runs))
+    best = None
+    for ws in candidates:
+        bound = [
+            Fraction(full - sum(P[s][a + h - n + 1] - P[s][a + 1] for s, a, h in ws), D)
+            for full, D, P in sums
+        ]
+        if best is None or min(bound) > min(best[0]):
+            best = bound, ws
+    return best
 
-    def masses(lvl):
-        m = table.get(lvl.words)
-        if m is None:
-            m = table[lvl.words] = [measure_of(mu, lvl) for mu in measures]
-        return m
 
-    return masses
-
-
-def _bound(blocks, n, masses):
-    """Per measure, mu(union of T^-j B, j < n) for the base B of blocks (each
-    a list of levels, the first its base) whose levels partition the space,
-    every top going into a block base.  A point on level l >= 1 of a block
-    of height h next meets B h - l steps on, so the points outside the union
-    are those on levels 1..h-n: the bound is mu(space) minus the sum of
-    their masses, one subtraction per measure.
-    """
-    full = masses(Clopen.full(blocks[0][0].sig))
-    removed = [masses(lvl) for levels in blocks for lvl in levels[1 : len(levels) - n + 1]]
-    return [b - sum(m[i] for m in removed) for i, b in enumerate(full)]
-
-
-def _best_castle(candidates, n, masses):
-    """The castle of the first candidate block list with the largest least
-    bound.  Blocks of one height form one tower, and the towers go by
-    increasing height, as first return times do."""
-    blocks = max(candidates, key=lambda c: min(_bound(c, n, masses)))
-    sig = blocks[0][0].sig
+def _castle(sig, strands, bound, windows):
+    """The castle of the windows: blocks of one height form one tower, and
+    the towers go by increasing height, as first return times do."""
     towers = []
-    for h in sorted({len(b) for b in blocks}):
-        same = zip(*(b for b in blocks if len(b) == h))
-        levels = [Clopen.make(sig, [w for x in lvls for w in x.words]) for lvls in same]
+    for h in sorted({h for _, _, h in windows}):
+        same = zip(*(strands[s][a : a + h] for s, a, z in windows if z == h))
+        levels = [Clopen.make(sig, chain(*lvls)) for lvls in same]
         towers.append((levels[0], h, levels))
-    base = Clopen.make(sig, [w for b in blocks for w in b[0].words])
-    return Castle(towers=towers, base=base, bound=_bound(blocks, n, masses))
+    base = Clopen.make(sig, chain(*(b.words for b, _, _ in towers)))
+    return Castle(towers=towers, base=base, bound=bound)
 
 
-def _shifted_top_castle(Tinv, towers0, n, masses):
-    """Best castle over T^-K of the tops, K in [0, n), preferring the deepest
-    pullback on ties.
-
-    The tops make up T^-1(B0), so T^-K of them is T^-(K+1)(B0), whose return
-    towers are those of B0 pulled back K+1 steps: T^-j(base_h) for
-    j = K+1..1, then levels_h[0 : h-K-1].  Every point of B0 returns after
-    at least n steps, so for j <= n, T^-j(B0) is the union of the levels
-    h - j, and the last tower's pullbacks are what the others leave of it.
+def _shifted_top_castle(strands, n, measures):
+    """Bounds and windows of the best castle over T^-K of the tops, K in
+    [0, n), the deepest pullback winning ties.  The tops make up T^-1(B0),
+    so T^-K of them is T^-(K+1)(B0), whose return towers are those of B0
+    pulled back K+1 steps: on each strand (pull n) the window of its height
+    h from n-K-1.  These windows remove levels 1 .. h-1, none when h = n.
     """
-    sig = Tinv.sig
-    pulls = [list(_iterates(Tinv, base, n + 1))[1:] for base, _, _ in towers0[:-1]]
-    last = []
-    for j in range(1, n + 1):
-        back = Clopen.make(sig, [w for _, h, lv in towers0 for w in lv[h - j].words])
-        last.append(back - Clopen.make(sig, [w for p in pulls for w in p[j - 1].words]))
-    pulls.append(last)
+    heights = [len(strand) - n for strand in strands]
+    spans = [[range(1, h)] if h > n else [] for h in heights]
     candidates = (
-        [p[K::-1] + lv[: h - K - 1] for (_, h, lv), p in zip(towers0, pulls)]
-        for K in reversed(range(n))
+        [(s, n - K - 1, h) for s, h in enumerate(heights)] for K in reversed(range(n))
     )
-    return _best_castle(candidates, n, masses)
+    return _best_windows(strands, candidates, spans, n, measures)
 
 
-def _sliced_castle(towers0, n, masses):
-    """Slice tall return towers into height-n blocks, one block per tower
-    absorbing the height remainder, at the first absorber position b* with
-    the largest bound.  The candidate leftover sets for the different
-    absorber positions are pairwise disjoint, so when there are more than
-    (number of measures)/epsilon candidates one of them must leave less
-    than epsilon uncovered.
+def _sliced_castle(strands, n, measures):
+    """Bounds and windows of the best cut of tall return towers (strands of
+    pull 0) into height-n blocks, block b* absorbing the height remainder r,
+    at the first b* with the largest bound.  The leftovers of different b*
+    are disjoint, so of more than (number of measures)/epsilon one leaves
+    less than epsilon uncovered.  Only the r levels after b*'s base go.
     """
+    heights = [len(strand) for strand in strands]
 
-    def blocks(bstar):
+    def windows(bstar):
         out = []
-        for _, h, levels in towers0:
-            absorber, r = min(bstar, h // n - 1), h % n
-            cuts = [b * n + (r if b > absorber else 0) for b in range(h // n)] + [h]
-            out += [levels[a:z] for a, z in zip(cuts, cuts[1:])]
+        for s, h in enumerate(heights):
+            cuts = [b * n + (h % n if b > bstar else 0) for b in range(h // n)] + [h]
+            out += [(s, a, z - a) for a, z in zip(cuts, cuts[1:])]
         return out
 
-    bstars = range(min(h // n for _, h, _ in towers0))
-    return _best_castle(map(blocks, bstars), n, masses)
+    bstars = range(min(h // n for h in heights))
+    spans = [[range(b * n + 1, b * n + 1 + h % n) for b in bstars] for h in heights]
+    return _best_windows(strands, map(windows, bstars), spans, n, measures)
 
 
 def _refuse_periods(Tm, bound):
@@ -645,23 +652,25 @@ def _refuse_periods(Tm, bound):
 def rokhlin_castle(T, n, measures, epsilon):
     """Clopen castle of height >= n towers with the marked-base measure bound.
 
-    Searches cover depths upward.  At each depth a first pass builds return
-    towers over a base separated by exactly n and shifts the tops; if its
+    Searches cover depths upward.  At each depth a first pass shifts the
+    tops of the return towers over a base separated by exactly n; if its
     bound falls short, a second pass separates by a multiple of n large
     enough that slicing into height-n blocks provably leaves less than
-    epsilon uncovered for some absorber position.  Both passes cut the
-    return towers into blocks of levels, bound each candidate by one rule
-    read from one table of level masses per depth (_bound), and return the
-    castle they measured.  When T permutes the depth-d cylinders
-    (PrefixMap.cycles), their cycles decide the cover and place the
-    separated base without composing powers of T.  Fails with diagnostics
-    at depth CASTLE_DEPTH_CAP.
+    epsilon uncovered for some absorber position.  A candidate is a list of
+    windows of strands (_strands), bounded by integer prefix sums; only the
+    accepted castle's levels become clopen sets.  When T permutes the
+    depth-d cylinders (PrefixMap.cycles), the cycles decide the cover and
+    each strand is a slice of a cycle, so no power or image of T is made.
+    Fails with diagnostics at depth CASTLE_DEPTH_CAP.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     Tm = as_prefix_map(T)
+    sig = Tm.sig
     epsilon = _positive(epsilon)
     _refuse_periods(Tm, n)
+    if any(mu.sig != sig for mu in measures):
+        raise ValueError("signature mismatch")
     sep = max(2, int(len(measures) / epsilon) + 1) * n
     Tinv = Tm.inverse()
     last_diag = None
@@ -670,17 +679,15 @@ def rokhlin_castle(T, n, measures, epsilon):
         if not _separated_cover_exists(Tm, n, depth, cycles):
             last_diag = f"no separated cover at depth {depth}"
             continue
-        masses = _level_masses(measures)
-        B0 = _separated_base(Tm, Tinv, n, depth, cycles)
-        towers0 = _first_return_towers(Tm, Tinv, B0, 2 * n)
-        castle = _shifted_top_castle(Tinv, towers0, n, masses)
-        best = min(castle.bound)
+        strands = _strands(Tm, Tinv, n, depth, n, cycles)
+        bound, windows = _shifted_top_castle(strands, n, measures)
+        best = min(bound)
         if best <= 1 - epsilon and _separated_cover_exists(Tm, sep, depth, cycles):
-            B0 = _separated_base(Tm, Tinv, sep, depth, cycles)
-            towers0 = _first_return_towers(Tm, Tinv, B0, 2 * sep)
-            castle = _sliced_castle(towers0, n, masses)
-            best = max(best, min(castle.bound))
-        if min(castle.bound) > 1 - epsilon:
+            strands = _strands(Tm, Tinv, sep, depth, 0, cycles)
+            bound, windows = _sliced_castle(strands, n, measures)
+            best = max(best, min(bound))
+        if min(bound) > 1 - epsilon:
+            castle = _castle(sig, strands, bound, windows)
             _verify_castle(castle, n)
             return castle
         last_diag = f"best bound {best} at depth {depth} not above {1 - epsilon}"
@@ -831,21 +838,13 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None):
 
 
 def _find_atom_in(measures, core):
+    """The first Dirac atom in core, the components of a mixture searched
+    where it stands in the list."""
     for mu in measures:
-        for atom in _dirac_atoms(mu):
-            if atom.in_clopen(core):
+        if isinstance(mu, Dirac) and mu.atom.in_clopen(core):
+            return mu.atom
+        if isinstance(mu, Mixture):
+            atom = _find_atom_in([m for _, m in mu.components], core)
+            if atom is not None:
                 return atom
     return None
-
-
-def _dirac_atoms(mu):
-    from .measure import Dirac, Mixture
-
-    if isinstance(mu, Dirac):
-        return [mu.atom]
-    if isinstance(mu, Mixture):
-        out = []
-        for _, m in mu.components:
-            out.extend(_dirac_atoms(m))
-        return out
-    return []

@@ -232,6 +232,24 @@ def test_centralizer_index_sequences():
         centralizer_index_sequence(S.as_map(), S, -1)
 
 
+def test_centralizer_refines_only_up_to_the_failing_level(monkeypatch):
+    """The swap acts as the odometer on the depth-1 cylinders but on the
+    depth-2 ones as no power of it, so the test fails at level 1 having
+    refined R to depth 1 and then to depth 2 (2 + 4 restrictions), however
+    deep it was asked to look; refining to depth 16 first took 65,536."""
+    calls = []
+    refine = homeo.refine_branch
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(homeo, "refine_branch", counted)
+    res = centralizer_index_sequence(SWAP, Odometer(DYADIC, 1), 15)
+    assert res == {"ok": False, "failure_level": 1, "indices": (1,), "moduli": (2,)}
+    assert len(calls) == 2 + 4
+
+
 def test_centralizer_matches_commutation():
     sig = DYADIC
     S = Odometer(sig, 1)

@@ -27,13 +27,14 @@ from cantordyn.homeo import (
     weak_distance,
 )
 from cantordyn.synth import (
+    _castle,
     _first_return_towers,
     _iterates,
-    _level_masses,
     _separated_base,
     _separated_cover_exists,
     _shifted_top_castle,
     _sliced_castle,
+    _strands,
     aperiodize_periodic,
     canonical_clopen_homeo,
     euler_circuit,
@@ -378,7 +379,7 @@ def test_separated_base_separates_and_covers(k, n):
     depths = [d for d in range(1, 7) if _separated_cover_exists(Tm, n, d)]
     assert depths
     for depth in depths:
-        B = _separated_base(Tm, Tm.inverse(), n, depth)
+        B = Clopen(SIG, _separated_base(Tm, Tm.inverse(), n, depth))
         assert all(len(w) <= depth for w in B.words)
         size = 2**depth
         base = {_dyadic_value(w) for w in mask(B, depth)}
@@ -419,7 +420,8 @@ def test_separated_base_steps_its_powers(sig, n, compositions):
 def test_cycle_path_matches_composition_path(sig, k, rng, n, depth):
     """On a synchronous map (an odometer shift, or a random_homeo map when k
     is None) the depth-d cycles give the cover answer and the base that
-    composing powers of T gives."""
+    composing powers of T gives: the cycle path hands back depth-d words,
+    the composition path the canonical words of the same set."""
     Tm = random_homeo(rng, sig) if k is None else as_prefix_map(Odometer(sig, k))
     Tinv = Tm.inverse()
     depth = max(depth, Tm.max_domain_depth())
@@ -428,9 +430,10 @@ def test_cycle_path_matches_composition_path(sig, k, rng, n, depth):
     assert _separated_cover_exists(Tm, n, depth, cycles) == _separated_cover_exists(
         Tm, n, depth, None
     )
-    assert _separated_base(Tm, Tinv, n, depth, cycles) == _separated_base(
-        Tm, Tinv, n, depth, None
-    )
+    words = _separated_base(Tm, Tinv, n, depth, cycles)
+    assert all(len(w) == depth for w in words) and words == sorted(words)
+    composed = _separated_base(Tm, Tinv, n, depth, None)
+    assert Clopen.make(sig, words) == Clopen(sig, composed)
 
 
 @pytest.mark.parametrize("sig", SIGS)
@@ -456,7 +459,7 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
     Tinv = Tm.inverse()
     measures = [ProductMeasure.uniform(sig)]
     depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, n, d))
-    B0 = _separated_base(Tm, Tinv, n, depth)
+    B0 = Clopen(sig, _separated_base(Tm, Tinv, n, depth))
     towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
     V = Clopen.empty(sig)
     for _, _, levels in towers0:
@@ -475,9 +478,16 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
         raise AssertionError("power called")
 
     monkeypatch.setattr(PrefixMap, "power", no_power)
-    castle = _shifted_top_castle(Tinv, towers0, n, _level_masses(measures))
-    assert castle.base == expected
+    for cycles in (None, Tm.cycles(depth)):
+        strands = _strands(Tm, Tinv, n, depth, n, cycles)
+        castle = _pass_castle(sig, strands, _shifted_top_castle, n, measures)
+        assert castle.base == expected
     assert castle.bound == covered_bounds(castle.base)
+
+
+def _pass_castle(sig, strands, castle_pass, n, measures):
+    """The castle of the windows that one pass picks over the strands."""
+    return _castle(sig, strands, *castle_pass(strands, n, measures))
 
 
 def _skew(sig):
@@ -535,7 +545,8 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
     )
     if depth is None:  # a periodic random_homeo map
         return
-    B0 = _separated_base(Tm, Tinv, sep, depth, Tm.cycles(depth))
+    cycles = Tm.cycles(depth)
+    B0 = Clopen.make(sig, _separated_base(Tm, Tinv, sep, depth, cycles))
     towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
 
     def covered_bounds(B):
@@ -549,13 +560,14 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
         (min(covered_bounds(B)), K, B) for K, B in enumerate(_iterates(Tinv, V, n))
     ]
     _, _, B = max(shifted, key=lambda c: c[:2])
-    masses = _level_masses(measures)
 
-    def check(castle, B):
+    def check(castle_pass, pull, B):
+        strands = _strands(Tm, Tinv, sep, depth, pull, cycles)
+        castle = _pass_castle(sig, strands, castle_pass, n, measures)
         assert (castle.base, castle.bound) == (B, covered_bounds(B))
         assert castle.towers == _first_return_towers(Tm, Tinv, B, cap=2 * sep)
 
-    check(_shifted_top_castle(Tinv, towers0, n, masses), B)
+    check(_shifted_top_castle, n, B)
     # height-n blocks with the remainder on block b*; the first b* wins ties
     sliced = []
     for bstar in range(min(h // n for _, h, _ in towers0)):
@@ -568,29 +580,34 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
                 start += n + (r if b == min(bstar, blocks - 1) else 0)
         sliced.append(B)
     B = max(sliced, key=lambda B: min(covered_bounds(B)))
-    check(_sliced_castle(towers0, n, masses), B)
+    check(_sliced_castle, 0, B)
 
 
 @pytest.mark.parametrize("sig", SIGS)
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_castle_passes_image_little(sig, k, n, images):
-    """The sliced pass reads its bounds off the tower levels and images
-    nothing; the shifted-top pass steps the tower bases back, all but the
-    last one, whose pullbacks are what the others leave of the levels."""
+    """Only the strands image, and the passes read windows off them.  On the
+    composition path the pullbacks cost pull images per return tower but
+    the last, whose pullbacks are what the others leave of the levels; on
+    cycle positions nothing is imaged at all."""
     Tm = as_prefix_map(Odometer(sig, k))
     Tinv = Tm.inverse()
     measures = [ProductMeasure.uniform(sig), _skew(sig)]
     for sep in (n, 3 * n):
         depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
-        B0 = _separated_base(Tm, Tinv, sep, depth)
-        towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
-        masses = _level_masses(measures)
         images.clear()
-        _sliced_castle(towers0, n, masses)
+        flat = _strands(Tm, Tinv, sep, depth, 0)
+        unpulled = len(images)
+        images.clear()
+        pulled = _strands(Tm, Tinv, sep, depth, n)
+        assert len(images) == unpulled + n * (len(pulled) - 1)
+        images.clear()
+        _pass_castle(sig, flat, _sliced_castle, n, measures)
+        _pass_castle(sig, pulled, _shifted_top_castle, n, measures)
+        for pull in (0, n):
+            _strands(Tm, Tinv, sep, depth, pull, Tm.cycles(depth))
         assert images == []
-        _shifted_top_castle(Tinv, towers0, n, masses)
-        assert len(images) <= 2 * (n - 1)
 
 
 def _cycle_branches(words):
@@ -611,7 +628,7 @@ TWO_CYCLES = PrefixMap.make(
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_castle_passes_over_towers_of_two_heights(n, images):
-    """With two return heights the shifted-top pass images the first
+    """With two return heights the composition path images the first
     tower's base and takes the last tower's pullbacks from what the first
     leaves of the levels.  Both passes return the first-return towers over
     their base and the measures of the union of T^-j of it, j < n."""
@@ -619,45 +636,98 @@ def test_castle_passes_over_towers_of_two_heights(n, images):
     measures = [UNI, _skew(SIG)]
     for sep in (n, 3 * n):
         depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
-        B0 = _separated_base(Tm, Tinv, sep, depth)
+        B0 = Clopen(SIG, _separated_base(Tm, Tinv, sep, depth))
         towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
         assert len({h for _, h, _ in towers0}) == 2
-        masses = _level_masses(measures)
         images.clear()
-        shifted = _shifted_top_castle(Tinv, towers0, n, masses)
-        assert 0 < len(images) <= 2 * (n - 1)
-        for castle in (shifted, _sliced_castle(towers0, n, masses)):
+        flat = _strands(Tm, Tinv, sep, depth, 0)
+        unpulled = len(images)
+        images.clear()
+        pulled = _strands(Tm, Tinv, sep, depth, n)
+        assert len(images) - unpulled == n * (len(towers0) - 1) > 0
+        shifted = _pass_castle(SIG, pulled, _shifted_top_castle, n, measures)
+        for castle in (shifted, _pass_castle(SIG, flat, _sliced_castle, n, measures)):
             assert castle.towers == _first_return_towers(Tm, Tinv, castle.base, 2 * sep)
             cover = orbit_of(Tinv, castle.base, n)
             assert castle.bound == [measure_of(mu, cover) for mu in measures]
 
 
-def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
-    """The search finds first-return towers only for the separated bases
-    that a pass cuts into blocks, once per pass that runs at each depth, and
-    never again over the base it accepts."""
-    made, cut = [], []
+@pytest.mark.parametrize(
+    "T, n",
+    [
+        pytest.param(Odometer(sig, k), n, id=f"sig{i}-shift{k}-n{n}")
+        for i, sig in enumerate(SIGS)
+        for k in (1, 3)
+        for n in (2, 3, 4)
+    ]
+    + [pytest.param(TWO_CYCLES, n, id=f"two_cycles-n{n}") for n in (2, 3, 4)],
+)
+def test_cycle_strands_give_the_composition_castles(T, n, images):
+    """On a synchronous map the strands read off cycle positions, one per
+    base word, give both passes the castles (towers, base and bounds) that
+    the strands of the composition path, one per return tower, give; those
+    are the first-return towers over their base with the measures of the
+    union of T^-j of it, j < n.  Neither the cycle strands nor the search
+    over them image anything."""
+    Tm = as_prefix_map(T)
+    Tinv, sig = Tm.inverse(), Tm.sig
+    measures = [ProductMeasure.uniform(sig), _skew(sig)]
+    for sep in (n, 3 * n):
+        depths = [d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d)][:2]
+        for depth in depths:
+            for castle_pass, pull in ((_shifted_top_castle, n), (_sliced_castle, 0)):
+                images.clear()
+                strands = _strands(Tm, Tinv, sep, depth, pull, Tm.cycles(depth))
+                assert images == []
+                assert all(len(el) == 1 for strand in strands for el in strand)
+                castle = _pass_castle(sig, strands, castle_pass, n, measures)
+                composed = _strands(Tm, Tinv, sep, depth, pull)
+                assert castle == _pass_castle(sig, composed, castle_pass, n, measures)
+                assert castle.towers == _first_return_towers(
+                    Tm, Tinv, castle.base, 2 * sep
+                )
+                cover = orbit_of(Tinv, castle.base, n)
+                assert castle.bound == [measure_of(mu, cover) for mu in measures]
+    images.clear()
+    for eps in (Fraction(1, 4), Fraction(1, 8)):
+        rokhlin_castle(Tm, n, measures, eps)
+    assert images == []
 
-    def spy(fn, log):
+
+def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
+    """Every strand list the search builds goes to the one pass that it was
+    built for, at each depth where a pass runs; first-return towers are
+    found only on the composition path, once per strand list, so never
+    again over the base that the search accepts."""
+    made, cut, towers = [], [], []
+
+    def spy(fn, log, keep):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            log.append(out if fn is _first_return_towers else (fn, args[-3]))
+            log.append(keep(out, args))
             return out
 
         return wrapped
 
-    monkeypatch.setattr(synth, "_first_return_towers", spy(_first_return_towers, made))
+    monkeypatch.setattr(synth, "_strands", spy(_strands, made, lambda out, a: out))
+    monkeypatch.setattr(
+        synth, "_first_return_towers", spy(_first_return_towers, towers, lambda o, a: o)
+    )
     for fn in (_shifted_top_castle, _sliced_castle):
-        monkeypatch.setattr(synth, fn.__name__, spy(fn, cut))
+        passed = spy(fn, cut, lambda out, args, fn=fn: (fn, args[0]))
+        monkeypatch.setattr(synth, fn.__name__, passed)
     skew = ProductMeasure.make(SIG, [], [(Fraction(1, 3), Fraction(2, 3))])
     T = DISS.after(as_prefix_map(OD)).after(DISS.inverse())
     for M in (OD, Odometer(SIG, 3), T):
+        for log in (made, cut, towers):
+            log.clear()
         for n in (2, 3, 4):
             for eps in (Fraction(1, 4), Fraction(1, 8)):
                 rokhlin_castle(M, n, [UNI, skew], eps)
-    assert len(made) == len(cut)
-    assert all(towers0 is towers for towers0, (_, towers) in zip(made, cut))
-    assert {fn for fn, _ in cut} == {_shifted_top_castle, _sliced_castle}
+        assert len(made) == len(cut)
+        assert all(strands is s for strands, (_, s) in zip(made, cut))
+        assert {fn for fn, _ in cut} == {_shifted_top_castle, _sliced_castle}
+        assert len(towers) == (len(made) if M is T else 0)
 
 
 @pytest.mark.parametrize("sig", SIGS[:2])
@@ -776,6 +846,12 @@ def test_rokhlin_castle_refuses_nonpositive_height(n, compositions, inversions):
     with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
         rokhlin_castle(OD, n, [UNI], Fraction(1, 4))
     assert compositions == [] and inversions == []
+
+
+def test_rokhlin_castle_refuses_a_measure_over_another_signature():
+    six = ProductMeasure.uniform(Signature((), (2, 3)))
+    with pytest.raises(ValueError, match="signature mismatch"):
+        rokhlin_castle(OD, 2, [UNI, six], Fraction(1, 4))
 
 
 def test_rokhlin_castle_mixture_measure():
