@@ -4,19 +4,20 @@ Arguments naming objects accept a builtin alias (`id`, `swap`,
 `odometer:dyadic[:k]`, `uniform`), a path to a .cdyn file, or an inline
 document body.  All quantitative outputs are exact rationals rendered p/q.
 Exit codes: 0 success, 2 structured witness or refusal, 1 error.
+
+The modules that only some commands use (`measure`, `topology`, `synth`,
+`gen`, and `json` for --format json) are imported where those commands run,
+so a call loads no module that its command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 from fractions import Fraction
 
 from .space import DYADIC, word_text
-from .measure import ProductMeasure, measure_of
 from .homeo import (
     Odometer,
     PrefixMap,
@@ -28,9 +29,16 @@ from .homeo import (
     period_structure,
     weak_distance,
 )
-from .topology import in_neighborhood, defect_over_partition
-from .gen import random_document
 from . import docformat as df
+
+
+def __getattr__(name):
+    # cli.random_document is gen.random_document, loaded on first use
+    if name == "random_document":
+        from .gen import random_document
+
+        return random_document
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -65,19 +73,20 @@ def _cap(option, value, cap):
 # -- reference resolution --------------------------------------------------------
 
 
-def _parse_sig_token(tok):
-    p = df._Parser(tok)
-    sig = p.sig()
+def _read_whole(text, read, what):
+    """read(parser) over all of text, in the document grammar."""
+    p = df._Parser(text)
+    x = read(p)
     if not p.eof():
-        raise df.DocumentError("trailing input after signature")
-    return sig
+        raise df.DocumentError(f"trailing input after {what}")
+    return x
 
 
 def resolve_homeo(text):
     if text == "id":
         return PrefixMap.identity(DYADIC)
     if text.startswith("id:"):
-        return PrefixMap.identity(_parse_sig_token(text[3:]))
+        return PrefixMap.identity(_read_whole(text[3:], df._Parser.sig, "signature"))
     if text == "swap":
         return PrefixMap.tree_pair(DYADIC, [((0,), (1,)), ((1,), (0,))])
     if text.startswith("odometer:"):
@@ -85,22 +94,20 @@ def resolve_homeo(text):
         k = 1
         if ":" in rest and not rest.endswith(")"):
             rest, ks = rest.rsplit(":", 1)
-            k = int(ks)
-        return Odometer(_parse_sig_token(rest), k)
+            k = _read_whole(ks, df._Parser.int_, "odometer shift")
+        return Odometer(_read_whole(rest, df._Parser.sig, "signature"), k)
     return _load_document(text, "homeo")
 
 
 def resolve_measure(text, sig):
+    from .measure import ProductMeasure
+
     if text == "uniform":
         return ProductMeasure.uniform(sig)
     if os.path.exists(text) or text.startswith(("measure ", "cdyn ")):
         return _load_document(text, "measure")
     # inline measure expression over the target signature
-    p = df._Parser(text)
-    mu = p.measure(sig)
-    if not p.eof():
-        raise df.DocumentError("trailing input after measure")
-    return mu
+    return _read_whole(text, lambda p: p.measure(sig), "measure")
 
 
 def _load_document(text, kind):
@@ -147,6 +154,8 @@ class Out:
 
     def emit(self):
         if self.json:
+            import json
+
             sys.stdout.write(json.dumps(self.items, sort_keys=True, indent=2) + "\n")
         elif self.items:
             sys.stdout.write("\n".join(self.items) + "\n")
@@ -170,6 +179,8 @@ def cmd_dist(args, out):
 
 
 def cmd_member(args, out):
+    from .topology import in_neighborhood
+
     S = resolve_homeo(args.S)
     N = _load_document(args.N, "neighborhood")
     # resolve_homeo and the parser build only exact maps, so the weak ball
@@ -194,6 +205,8 @@ def cmd_member(args, out):
 
 
 def cmd_defect(args, out):
+    from .topology import defect_over_partition
+
     S = resolve_homeo(args.S)
     T = resolve_homeo(args.T)
     sig = S.sig
@@ -369,6 +382,8 @@ def cmd_graph_dot(args, out):
 
 
 def cmd_measure(args, out):
+    from .measure import measure_of
+
     if not (os.path.exists(args.set) or args.set.startswith(("clopen ", "cdyn "))):
         raise CliError("the set argument must be a clopen document")
     # the clopen argument fixes the signature for alias measures
@@ -382,9 +397,13 @@ def cmd_gen(args, out):
     if args.count < 0:
         raise CliError(f"--count must not be negative, got {args.count}")
     _cap("--count", args.count, COUNT_CAP)
+    import random
+
+    from . import gen
+
     rng = random.Random(args.seed)
     for i in range(args.count):
-        out.doc(random_document(rng, args.kind))
+        out.doc(gen.random_document(rng, args.kind))
     return 0
 
 

@@ -9,6 +9,9 @@ body_fields describes each document kind once: the text and the JSON mirror
 are both written from it.  The parser reads every bracketed list with
 _Parser.seq, and a list that must be sorted is compared with the order its
 canonical constructor builds.
+
+`measure` and `topology` are imported where measures and neighborhoods are
+read or written, so a document of another kind loads neither.
 """
 
 from __future__ import annotations
@@ -26,14 +29,7 @@ from .space import (
     word_text,
     wordset_text,
 )
-from .measure import Dirac, Mixture, ProductMeasure, measure_text
 from .homeo import Odometer, PrefixMap, branches_text
-from .topology import (
-    BarPNeighborhood,
-    PNeighborhood,
-    UniformNeighborhood,
-    WeakBall,
-)
 
 VERSION = 1
 
@@ -99,11 +95,12 @@ def _cert_value_text(sig, x):
     raise TypeError(f"unsupported certificate value {x!r}")
 
 
+# by class name, so that printing a neighborhood needs no import of topology
 _TOPOLOGIES = {
-    WeakBall: "weak",
-    PNeighborhood: "p",
-    UniformNeighborhood: "uniform",
-    BarPNeighborhood: "barp",
+    "WeakBall": "weak",
+    "PNeighborhood": "p",
+    "UniformNeighborhood": "uniform",
+    "BarPNeighborhood": "barp",
 }
 
 
@@ -131,7 +128,7 @@ def body_fields(doc):
         return [_same("homeo", homeo_text(v))]
     if doc.kind == "neighborhood":
         sig, base = v.base.sig, homeo_text(v.base)
-        fields = [_same("topology", _TOPOLOGIES[type(v)])]
+        fields = [_same("topology", _TOPOLOGIES[type(v).__name__])]
         for k in ("radius", "epsilon"):
             if k in v._fields:
                 fields.append(_same(k, str(getattr(v, k))))
@@ -140,6 +137,8 @@ def body_fields(doc):
             sets = [wordset_text(sig, F) for F in v.sets]
             fields.append(("sets", sets, _listed(sets)))
         if "measures" in v._fields:
+            from .measure import measure_text
+
             mus = [measure_text(m) for m in v.measures]
             fields.append(("measures", mus, _listed(f"({m})" for m in mus)))
         return fields
@@ -148,6 +147,8 @@ def body_fields(doc):
     if doc.kind == "clopen":
         fields.append(("words", _words(sig, v), wordset_text(sig, v)))
     elif doc.kind == "measure":
+        from .measure import measure_text
+
         fields.append(_same("measure", measure_text(v)))
     elif doc.kind == "castle":
         towers = [{"base": _words(sig, b), "height": h} for b, h in v.towers]
@@ -335,6 +336,8 @@ class _Parser:
         return x
 
     def measure(self, sig):
+        from .measure import Dirac, Mixture, ProductMeasure
+
         self.ws()
         if self.try_lit("uniform"):
             return ProductMeasure.uniform(sig)
@@ -362,6 +365,8 @@ class _Parser:
         self.error("expected a measure expression")
 
     def _component(self, sig):
+        from .measure import Mixture
+
         w = self.frac()
         m = self.measure(sig)
         if isinstance(m, Mixture):
@@ -409,11 +414,13 @@ class _Parser:
         return x
 
     def neighborhood(self):
+        from . import topology
+
         topo = self.ident()
         types = {name: t for t, name in _TOPOLOGIES.items()}
         if topo not in types:
             self.error(f"unknown neighborhood topology {topo!r}")
-        t = types[topo]
+        t = getattr(topology, types[topo])
         # the fields in text order, as body_fields prints them
         got = {k: self.frac() for k in ("radius", "epsilon") if k in t._fields}
         base = got["base"] = self._paren(self.homeo)
@@ -533,6 +540,8 @@ def doc_homeo(h):
 
 def doc_neighborhood(n):
     """The neighborhood with its sets and measures in rendered order."""
+    from .measure import measure_text
+
     sig = n.base.sig
     fields = {f: getattr(n, f) for f in n._fields}
     if "sets" in fields:

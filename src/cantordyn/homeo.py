@@ -589,6 +589,8 @@ def full_group_membership(S, T, bound):
     Full-branch agreement only; each branch is assigned to the exponent of
     smallest absolute value (positive first on ties).
     """
+    if bound < 0:
+        raise ValueError(f"bound must not be negative, got {bound}")
     S = as_prefix_map(S)
     sig = S.sig
     rest = Clopen.full(sig)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from cantordyn import cli, synth
+from cantordyn import cli, gen, synth
 from cantordyn.cli import main
 from cantordyn.docformat import parse
 from cantordyn.space import DYADIC, Clopen
@@ -31,6 +32,11 @@ def test_dist(capsys):
     assert code == 0 and out == "0\n"
     code, out, _ = run(capsys, "dist", "odometer:dyadic", "odometer:dyadic:1")
     assert code == 0 and out == "0\n"
+    for k in ("-1", "3"):
+        code, out, _ = run(
+            capsys, "dist", f"odometer:dyadic:{k}", f"homeo odometer dyadic {k}"
+        )
+        assert code == 0 and out == "0\n"
 
 
 def test_dist_from_file(capsys, tmp_path):
@@ -131,6 +137,13 @@ def test_maps_over_different_signatures_are_refused(capsys, argv):
         (["centralizer", "odometer:dyadic", "odometer:dyadic", "--depth", "-1"],
          "--depth must not be negative, got -1"),
         (["tabulate", "swap", "--depth", "-1"], "--depth must not be negative, got -1"),
+        (["fullgroup", "swap", "odometer:dyadic", "--bound", "-1"],
+         "bound must not be negative, got -1"),
+        # the alias shift is an ASCII integer, as in a document
+        (["dist", "swap", "odometer:dyadic:1_0"], "trailing input after odometer shift"),
+        (["dist", "swap", "odometer:dyadic:\u0663"], "expected an integer"),
+        (["dist", "swap", "odometer:dyadic:"], "expected an integer"),
+        (["dist", "swap", "odometer:dyadic:x"], "expected an integer"),
     ],
 )
 def test_bad_arguments_are_refused_by_name(capsys, argv, reason):
@@ -177,6 +190,8 @@ def test_fullgroup(capsys):
     assert "power_-1 {1}" in out and "power_1 {0}" in out
     code, out, _ = run(capsys, "fullgroup", DISS_DOC, "odometer:dyadic")
     assert code == 2 and "refusal" in out
+    code, out, _ = run(capsys, "fullgroup", "id", "id", "--bound", "0")
+    assert (code, out) == (0, "cdyn 1\ncertificate dyadic fullgroup {power_0 {e}}\n")
 
 
 def test_centralizer(capsys):
@@ -422,6 +437,53 @@ def test_imports_load_only_what_they_use():
     assert r.stdout == "[]\nFalse\nFalse False\nFalse False\n", r.stderr
 
 
+# What each command adds to the modules loaded before it, in one process,
+# from a fresh interpreter: (argv, modules it must add, modules it must not).
+BASE = {"cli", "docformat", "homeo", "space"}
+LOADS = [
+    (["dist", "id", "swap"], BASE, {"measure", "topology", "gen", "synth", "json"}),
+    (["member", "swap", "neighborhood weak 1 (tree-pair dyadic {0->1, 1->0})"],
+     {"topology", "measure"}, {"gen", "synth", "json"}),
+    (["rokhlin", "--target", "odometer:dyadic", "--n", "2", "--measure", "uniform",
+      "--epsilon", "1/2"], {"synth"}, {"gen", "json"}),
+    (["gen", "--count", "1"], {"gen"}, {"json"}),
+]
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    """A module imported at the top of cli or docformat would load for every
+    command; these calls, in order, show each optional module arriving with
+    the first command that runs it."""
+    code = (
+        "import ast, io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "def loaded():\n"
+        "    return {m.removeprefix('cantordyn.') for m in sys.modules\n"
+        "            if m.startswith('cantordyn.') or m == 'json'}\n"
+        "before = loaded()\n"
+        "from cantordyn.cli import main\n"
+        "for argv in ast.literal_eval(sys.argv[1]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    now = loaded()\n"
+        "    print(sorted(now - before))\n"
+        "    before = now\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, repr([argv for argv, _, _ in LOADS])],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=20,
+    )
+    assert r.returncode == 0, r.stderr
+    added = [set(ast.literal_eval(line)) for line in r.stdout.splitlines()]
+    assert len(added) == len(LOADS)
+    assert added[0] == BASE
+    for (argv, must, must_not), new in zip(LOADS, added):
+        assert must <= new and not must_not & new, (argv, new)
+
+
 # Each capped command at its cap and one above.  At the cap the command's work
 # is a stub that records its argument; above it the command refuses before any
 # work, so no capped command runs here.
@@ -474,7 +536,7 @@ def _stub_work(monkeypatch):
     monkeypatch.setattr(cli, "centralizer_index_sequence", centralizer)
     monkeypatch.setattr(cli, "period_structure", periods)
     monkeypatch.setattr(cli, "full_group_membership", fullgroup)
-    monkeypatch.setattr(cli, "random_document", document)
+    monkeypatch.setattr(gen, "random_document", document)
     monkeypatch.setattr(synth, "rokhlin_castle", castle)
     return seen
 

@@ -215,6 +215,11 @@ def test_full_group_membership():
         assert SWAP.image(E) == Ti.image(E)
     pieces, missing = full_group_membership(DISS, T, 3)
     assert pieces is None and not missing.is_empty
+    # bound 0 searches T^0 alone; a negative bound is refused, not searched
+    assert full_group_membership(T, T, 0) == (None, Clopen.full(sig))
+    assert full_group_membership(SWAP.power(2), T, 0) == ({0: Clopen.full(sig)}, None)
+    with pytest.raises(ValueError, match="bound must not be negative, got -1"):
+        full_group_membership(SWAP, T, -1)
 
 
 def test_centralizer_index_sequences():
