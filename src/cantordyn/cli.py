@@ -410,90 +410,93 @@ def cmd_gen(args, out):
 # -- entry point -------------------------------------------------------------------
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(prog="cantordyn")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _arg(*flags, **options):
+    return flags, options
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+
+_MAPS = [_arg("S"), _arg("T")]
+
+# name: (function, help, arguments); --help lists the commands in this order
+COMMANDS = {
+    "dist": (cmd_dist, "exact weak distance between two maps", _MAPS),
+    "member": (cmd_member, "exact neighborhood membership", [_arg("S"), _arg("N")]),
+    "defect": (cmd_defect, "defect sup over unions of atoms", [
+        *_MAPS,
+        _arg("--measure", required=True),
+        _arg("--partition", required=True),
+        _arg("--kind", choices=["tau-prime", "bar-tau"], default="tau-prime"),
+    ]),
+    "compose": (cmd_compose, "exact composition of maps", [_arg("maps", nargs="+")]),
+    "tabulate": (cmd_tabulate, "cylinder table of a map", [
+        _arg("T"), _arg("--depth", type=int, default=2),
+    ]),
+    "diff": (cmd_diff, "exact difference set of two maps", _MAPS),
+    "periods": (cmd_periods, "exact periodic structure report", [
+        _arg("T"), _arg("--bound", type=int, default=8),
+    ]),
+    "fullgroup": (cmd_fullgroup, "locally constant power test", [
+        *_MAPS, _arg("--bound", type=int, default=8),
+    ]),
+    "centralizer": (cmd_centralizer, "odometer centralizer test", [
+        _arg("R"), _arg("S"), _arg("--depth", type=int, default=5),
+    ]),
+    "synth": (cmd_synth, "synthesis procedures with certificates", [
+        _arg("kind", choices=[
+            "odometer", "periodic", "rank1", "aperiodize", "fundamental",
+        ]),
+        _arg("--target", required=True),
+        _arg("--partition"),
+        _arg("--measure", action="append", default=[]),
+        _arg("--epsilon", default="1/2"),
+        _arg("--period", type=int, default=None),
+    ]),
+    "rokhlin": (cmd_rokhlin, "castle with the marked-base bound", [
+        _arg("--target", required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--measure", action="append", required=True),
+        _arg("--epsilon", required=True),
+    ]),
+    "graph-dot": (cmd_graph_dot, "overlap graph as DOT text", [
+        _arg("--target", required=True), _arg("--partition", required=True),
+    ]),
+    "measure": (cmd_measure, "exact mass of a clopen set", [_arg("M"), _arg("set")]),
+    "gen": (cmd_gen, "randomized canonical documents (test data)", [
+        _arg("kind", nargs="?", default=None, choices=[None, *df.KINDS]),
+        _arg("--seed", type=int, default=0),
+        _arg("--count", type=int, default=1),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or of the named command alone.
+
+    A one-command parser spells out every command in its usage line, as the
+    full parser does, so its messages are the full parser's."""
+    ap = argparse.ArgumentParser(prog="cantordyn")
+    sub = ap.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if command else None,
+    )
+    for name in [command] if command else COMMANDS:
+        fn, help_, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=["text", "json"], default="text")
-        return p
-
-    p = add("dist", cmd_dist, help="exact weak distance between two maps")
-    p.add_argument("S")
-    p.add_argument("T")
-
-    p = add("member", cmd_member, help="exact neighborhood membership")
-    p.add_argument("S")
-    p.add_argument("N")
-
-    p = add("defect", cmd_defect, help="defect sup over unions of atoms")
-    p.add_argument("S")
-    p.add_argument("T")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--kind", choices=["tau-prime", "bar-tau"], default="tau-prime")
-
-    p = add("compose", cmd_compose, help="exact composition of maps")
-    p.add_argument("maps", nargs="+")
-
-    p = add("tabulate", cmd_tabulate, help="cylinder table of a map")
-    p.add_argument("T")
-    p.add_argument("--depth", type=int, default=2)
-
-    p = add("diff", cmd_diff, help="exact difference set of two maps")
-    p.add_argument("S")
-    p.add_argument("T")
-
-    p = add("periods", cmd_periods, help="exact periodic structure report")
-    p.add_argument("T")
-    p.add_argument("--bound", type=int, default=8)
-
-    p = add("fullgroup", cmd_fullgroup, help="locally constant power test")
-    p.add_argument("S")
-    p.add_argument("T")
-    p.add_argument("--bound", type=int, default=8)
-
-    p = add("centralizer", cmd_centralizer, help="odometer centralizer test")
-    p.add_argument("R")
-    p.add_argument("S")
-    p.add_argument("--depth", type=int, default=5)
-
-    p = add("synth", cmd_synth, help="synthesis procedures with certificates")
-    p.add_argument("kind", choices=[
-        "odometer", "periodic", "rank1", "aperiodize", "fundamental",
-    ])
-    p.add_argument("--target", required=True)
-    p.add_argument("--partition")
-    p.add_argument("--measure", action="append", default=[])
-    p.add_argument("--epsilon", default="1/2")
-    p.add_argument("--period", type=int, default=None)
-
-    p = add("rokhlin", cmd_rokhlin, help="castle with the marked-base bound")
-    p.add_argument("--target", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--measure", action="append", required=True)
-    p.add_argument("--epsilon", required=True)
-
-    p = add("graph-dot", cmd_graph_dot, help="overlap graph as DOT text")
-    p.add_argument("--target", required=True)
-    p.add_argument("--partition", required=True)
-
-    p = add("measure", cmd_measure, help="exact mass of a clopen set")
-    p.add_argument("M")
-    p.add_argument("set")
-
-    p = add("gen", cmd_gen, help="randomized canonical documents (test data)")
-    p.add_argument("kind", nargs="?", default=None, choices=[None, *df.KINDS])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    """Run one command; returns its exit code.  Output goes to sys.stdout and
+    errors to sys.stderr; argparse raises SystemExit for --help and usage
+    errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call runs one command, so only its parser is built; -h, an unknown
+    # name or an option first gets the full parser and its messages
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = ap.parse_args(argv)
     out = Out(args.format)
     try:
@@ -505,5 +508,29 @@ def main(argv=None):
     return code
 
 
+def run():
+    """Process entry point: main() over sys.argv, then os._exit.
+
+    The output is flushed here, so the interpreter's teardown, which would
+    only free memory the process is about to give back, is skipped.  A
+    stdout that can no longer be written (its reader has gone) ends the call
+    with `error: ...` and exit code 1."""
+    try:
+        try:
+            code = main()
+        except SystemExit as e:  # argparse: --help and usage errors
+            code = e.code
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as e:
+        code = 1
+        try:
+            sys.stderr.write(f"error: {e}\n")
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

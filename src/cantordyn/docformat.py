@@ -254,8 +254,16 @@ class _Parser:
             self.error("expected an integer")
         return self.text[start : self.pos]
 
-    def int_(self):
-        return int(self._int_text())
+    def int_(self, signed=False):
+        """An integer as the printer writes it: no leading zeros, no -0, and
+        a leading + only where signed (a branch carry is printed with its
+        sign)."""
+        text = self._int_text()
+        n = int(text)
+        printed = f"{n:+d}" if signed else str(n)
+        if text != printed:
+            self.error(f"not canonical: integer-form {text} (printed {printed})")
+        return n
 
     def frac(self):
         text = num = self._int_text()
@@ -277,9 +285,12 @@ class _Parser:
         pre = self.seq("base(", ";", self.int_)
         per = self.seq("", ")", self.int_)
         try:
-            return Signature(tuple(pre), tuple(per))
+            sig = Signature(tuple(pre), tuple(per))
         except ValueError as e:
             self.error(str(e))
+        if sig == DYADIC:
+            self.error("not canonical: signature-form base(;2) (printed dyadic)")
+        return sig
 
     def word(self, sig, validate=True):
         self.ws()
@@ -302,6 +313,10 @@ class _Parser:
             w = tuple(int(ch) for ch in raw)
         if validate and not sig.valid_word(w):
             self.error(f"digit-out-of-range: word {raw}")
+        # digits run together where every level has at most 10 of them, and
+        # are dotted, without leading zeros, otherwise
+        if raw != word_text(sig, w):
+            self.error(f"not canonical: word-form {raw} (printed {word_text(sig, w)})")
         return w
 
     def wordset(self, sig):
@@ -404,7 +419,11 @@ class _Parser:
             self.error("expected '->'")
         v = self.word(sig)
         self.ws()
-        c = self.int_() if shifted and (self.peek("+") or self.peek("-")) else 0
+        if not (shifted and (self.peek("+") or self.peek("-"))):
+            return u, v, 0
+        c = self.int_(signed=True)
+        if c == 0:
+            self.error("not canonical: zero-carry (a carry of 0 is left out)")
         return u, v, c
 
     def _paren(self, item):
@@ -504,6 +523,11 @@ def parse(text):
     if header[:1] == ["cdyn"]:
         if len(header) != 2 or not header[1].isascii() or not header[1].isdigit():
             raise DocumentError("malformed version header", line=1)
+        if header[1] != str(int(header[1])):
+            raise DocumentError(
+                f"not canonical: integer-form {header[1]} (printed {int(header[1])})",
+                line=1,
+            )
         if int(header[1]) != VERSION:
             raise DocumentError(f"unsupported version {int(header[1])}", line=1)
         lines, body_line = lines[1:], 2

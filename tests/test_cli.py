@@ -1,4 +1,7 @@
+import argparse
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +11,7 @@ import time
 import pytest
 
 from cantordyn import cli, gen, synth
-from cantordyn.cli import main
+from cantordyn.cli import COMMANDS, build_parser, main
 from cantordyn.docformat import parse
 from cantordyn.space import DYADIC, Clopen
 
@@ -144,6 +147,8 @@ def test_maps_over_different_signatures_are_refused(capsys, argv):
         (["dist", "swap", "odometer:dyadic:\u0663"], "expected an integer"),
         (["dist", "swap", "odometer:dyadic:"], "expected an integer"),
         (["dist", "swap", "odometer:dyadic:x"], "expected an integer"),
+        (["dist", "swap", "odometer:dyadic:+3"],
+         "not canonical: integer-form +3 (printed 3)"),
     ],
 )
 def test_bad_arguments_are_refused_by_name(capsys, argv, reason):
@@ -553,3 +558,110 @@ def test_caps_admit_their_value_and_refuse_above(
     code, out, err = run(capsys, *argv, option, str(above))
     assert (code, out, seen) == (1, "", [])
     assert err.startswith(f"error: {option} {above} ") and word in err
+
+
+def _child(argv, stdout, unbuffered):
+    """A `python -m cantordyn.cli` child, with PYTHONUNBUFFERED set or not."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "cantordyn.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_a_named_error(unbuffered):
+    """A reader of stdout that has gone ends the call with `error: ...` and
+    exit code 1, whether the write or the final flush finds it gone."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        p = _child(["gen", "--count", "5"], w, unbuffered)
+    finally:
+        os.close(w)
+    assert p.returncode == 1
+    assert p.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_fast_exit_loses_no_output(capsys):
+    """run() ends the process without the interpreter's final flush, so a
+    buffered stdout must be flushed before: every byte that main writes in
+    process arrives, and the exit code is main's."""
+    argv = ["gen", "--count", "2000"]
+    code, out, _ = run(capsys, *argv)
+    p = _child(argv, subprocess.PIPE, unbuffered=False)
+    assert (p.returncode, p.stdout, p.stderr) == (code, out.encode(), b"")
+    assert len(p.stdout) > 1 << 16  # more than one pipe buffer
+    with open(os.path.join(ROOT, "perfbench", "golden_cli.json"), encoding="utf-8") as f:
+        witness = next(g for g in json.load(f) if DISS_DOC in g["argv"])
+    p = _child(witness["argv"], subprocess.PIPE, unbuffered=False)
+    assert (p.returncode, p.stdout.decode()) == (2, witness["stdout"])
+
+
+# a shortest argv that each command's parser accepts
+PARSED = {
+    "dist": ["a", "b"],
+    "member": ["a", "b"],
+    "defect": ["a", "b", "--measure", "m", "--partition", "p"],
+    "compose": ["a"],
+    "tabulate": ["a"],
+    "diff": ["a", "b"],
+    "periods": ["a"],
+    "fullgroup": ["a", "b"],
+    "centralizer": ["a", "b"],
+    "synth": ["rank1", "--target", "t"],
+    "rokhlin": ["--target", "t", "--n", "1", "--measure", "m", "--epsilon", "e"],
+    "graph-dot": ["--target", "t", "--partition", "p"],
+    "measure": ["m", "s"],
+    "gen": [],
+}
+
+
+def _commands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return out.getvalue(), err.getvalue(), result
+
+
+@pytest.mark.parametrize("command", list(PARSED))
+def test_one_command_parser_matches_the_full_tree(monkeypatch, command):
+    """main builds only the parser of the command it runs; its help, its
+    usage errors (a missing argument, an unrecognized one, which the
+    top-level parser reports with its usage line) and its parse are those of
+    the parser of every command."""
+    assert list(PARSED) == list(COMMANDS)
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+
+    def spy(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        main([command, *PARSED[command], "--bogus"])
+    assert [_commands(p) for p in built] == [[command]]
+    one, full = build_parser(command), build_parser()
+    assert _commands(one) == [command] and _commands(full) == list(COMMANDS)
+    for argv in (
+        [command, "--help"],
+        [command] if PARSED[command] else [command, "extra"],
+        [command, *PARSED[command], "--bogus"],
+        [command, *PARSED[command]],
+    ):
+        assert _parse(one, argv) == _parse(full, argv), argv
