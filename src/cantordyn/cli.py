@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .space import DYADIC, word_text
 from .homeo import (
@@ -162,10 +161,7 @@ class Out:
 
 
 def _epsilon(args):
-    try:
-        return Fraction(args.epsilon)
-    except ZeroDivisionError:
-        raise CliError(f"--epsilon {args.epsilon} has a zero denominator") from None
+    return _read_whole(args.epsilon, df._Parser.frac, "--epsilon")
 
 
 # -- commands --------------------------------------------------------------------
@@ -197,9 +193,7 @@ def cmd_member(args, out):
     if "max_defect" in cert:
         entries["max_defect"] = cert["max_defect"]
     if "weak_distance" in cert:
-        lo, hi = cert["weak_distance"]
-        entries["lower"] = lo
-        entries["upper"] = hi
+        entries["lower"], entries["upper"] = cert["weak_distance"]
     out.doc(df.doc_certificate(S.sig, "membership", entries))
     return 0 if m.ok else 2
 

@@ -521,15 +521,13 @@ def parse(text):
     body_line = 1
     header = lines[0].split()
     if header[:1] == ["cdyn"]:
-        if len(header) != 2 or not header[1].isascii() or not header[1].isdigit():
-            raise DocumentError("malformed version header", line=1)
-        if header[1] != str(int(header[1])):
-            raise DocumentError(
-                f"not canonical: integer-form {header[1]} (printed {int(header[1])})",
-                line=1,
-            )
-        if int(header[1]) != VERSION:
-            raise DocumentError(f"unsupported version {int(header[1])}", line=1)
+        p = _Parser(lines[0])
+        p.lit("cdyn")
+        version = p.int_()
+        if not p.eof():
+            p.error("malformed version header")
+        if version != VERSION:
+            raise DocumentError(f"unsupported version {version}", line=1)
         lines, body_line = lines[1:], 2
     if len(lines) != 1:
         raise DocumentError("expected a single body line", line=body_line)

@@ -513,10 +513,7 @@ def power(T, n):
 def tabulate(T, depth):
     """Depth-t domain cylinders with their exact image clopen sets."""
     m = as_prefix_map(T)
-    out = []
-    for u, v, c in m.table(depth):
-        out.append((Clopen(m.sig, (u,)), Clopen(m.sig, (v,))))
-    return out
+    return [(Clopen(m.sig, (u,)), Clopen(m.sig, (v,))) for u, v, _ in m.table(depth)]
 
 
 # -- fixed and periodic structure ---------------------------------------------
@@ -642,11 +639,8 @@ def centralizer_index_sequence(R, S, depth):
         }
         found = None
         if min(len(v) for _, v, _ in pieces) > s and len(shifts) == 1:
-            shift0 = shifts.pop()
-            for i in range(p):
-                if (i * S.shift - shift0) % p == 0:
-                    found = i
-                    break
+            (shift0,) = shifts
+            found = next((i for i in range(p) if (i * S.shift - shift0) % p == 0), None)
         if found is None or (
             indices and found % moduli[-1] != indices[-1] % moduli[-1]
         ):
@@ -678,26 +672,18 @@ class TowerSystem(Value):
 
     @staticmethod
     def from_cycle(cycle):
-        sig = cycle[0].sig
-        for a in cycle:
-            if a.is_empty:
-                raise ValueError("empty atom in cycle")
-        return TowerSystem(sig, (tuple(cycle),))
+        if any(a.is_empty for a in cycle):
+            raise ValueError("empty atom in cycle")
+        return TowerSystem(cycle[0].sig, (tuple(cycle),))
 
     def ensure_levels(self, k):
         """This system with at least k levels, by the canonical refinement
         rule."""
         levels = list(self.levels)
         while len(levels) < k:
-            t = len(levels) - 1
-            cycle = levels[-1]
-            lam = self.sig.level(t)
-            split_parts = [a.split(lam) for a in cycle]
-            new = []
-            for q in range(lam):
-                for j in range(len(cycle)):
-                    new.append(split_parts[j][q])
-            levels.append(tuple(new))
+            lam = self.sig.level(len(levels) - 1)
+            parts = [a.split(lam) for a in levels[-1]]
+            levels.append(tuple(part[q] for q in range(lam) for part in parts))
         return TowerSystem(self.sig, tuple(levels))
 
     def heights(self):

@@ -18,7 +18,7 @@ components by it, so a mixture is canonical as built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .space import Point, Value, point_text
 
@@ -37,14 +37,6 @@ def _sum_ratios(ratios):
     return n, d
 
 
-def _check_weights(sig, rows, where):
-    for t, row in enumerate(rows):
-        if sum(row) != 1:
-            raise ValueError(f"{where} weights at position {t} do not sum to 1")
-        if any(w < 0 for w in row):
-            raise ValueError(f"negative weight in {where} position {t}")
-
-
 class ProductMeasure(Value):
     """Independent digits; weight rows eventually periodic like the signature.
 
@@ -60,18 +52,9 @@ class ProductMeasure(Value):
 
     @staticmethod
     def uniform(sig):
-        pre = tuple(
-            tuple(Fraction(1, sig.level(t)) for _ in range(sig.level(t)))
-            for t in range(len(sig.preperiod))
-        )
-        cyc = tuple(
-            tuple(
-                Fraction(1, sig.level(len(sig.preperiod) + k))
-                for _ in range(sig.level(len(sig.preperiod) + k))
-            )
-            for k in range(len(sig.period))
-        )
-        return ProductMeasure(sig, pre, cyc)
+        rows = [(Fraction(1, lam),) * lam for lam in sig.preperiod + sig.period]
+        k = len(sig.preperiod)
+        return ProductMeasure(sig, tuple(rows[:k]), tuple(rows[k:]))
 
     @staticmethod
     def make(sig, preweights, cycleweights):
@@ -82,11 +65,13 @@ class ProductMeasure(Value):
             sig.period
         ) or not cyc or len(cyc) % len(sig.period):
             raise ValueError("weight rows misaligned with the signature period")
-        horizon = len(pre) + len(cyc)
-        for t in range(horizon):
-            if len(m.row(t)) != sig.level(t):
+        for t, row in enumerate(pre + cyc):
+            if len(row) != sig.level(t):
                 raise ValueError(f"weight row {t} has wrong length")
-        _check_weights(sig, [m.row(t) for t in range(horizon)], "product")
+            if sum(row) != 1:
+                raise ValueError(f"product weights at position {t} do not sum to 1")
+            if any(w < 0 for w in row):
+                raise ValueError(f"negative weight in product position {t}")
         return m
 
     def all_rows_uniform(self):
@@ -111,9 +96,6 @@ class ProductMeasure(Value):
             den *= x.denominator
         return num, den
 
-    def word_mass(self, w):
-        return Fraction(*self.word_ratio(w))
-
     def clopen_ratio(self, A):
         # one word needs no common-denominator sum
         words = A.words
@@ -121,13 +103,8 @@ class ProductMeasure(Value):
             return self.word_ratio(words[0])
         return _sum_ratios(map(self.word_ratio, words))
 
-    def clopen_mass(self, A):
-        return Fraction(*self.clopen_ratio(A))
-
     def point_mass(self, x):
         # nonzero only when the weight of every digit along the tail is 1
-        from math import lcm
-
         head_len = max(len(x.head), len(self.preweights))
         m = Fraction(1)
         for t in range(head_len):
@@ -147,9 +124,6 @@ class Dirac(Value):
 
     def clopen_ratio(self, A):
         return (1, 1) if self.atom.in_clopen(A) else (0, 1)
-
-    def clopen_mass(self, A):
-        return Fraction(1) if self.atom.in_clopen(A) else Fraction(0)
 
     def point_mass(self, x):
         return Fraction(1) if x == self.atom else Fraction(0)
@@ -181,9 +155,6 @@ class Mixture(Value):
             ratios.append((w.numerator * a, w.denominator * b))
         return _sum_ratios(ratios)
 
-    def clopen_mass(self, A):
-        return Fraction(*self.clopen_ratio(A))
-
     def point_mass(self, x):
         return sum((w * m.point_mass(x) for w, m in self.components), Fraction(0))
 
@@ -207,7 +178,7 @@ def measure_of(mu, A):
     """Exact measure of a clopen set."""
     if mu.sig != A.sig:
         raise ValueError("signature mismatch")
-    return mu.clopen_mass(A)
+    return Fraction(*mu.clopen_ratio(A))
 
 
 def point_mass(mu, x):

@@ -349,8 +349,6 @@ class Clopen(Value):
     def diameter(self):
         if self.is_empty:
             raise ValueError("diameter of empty set")
-        if len(self.words) == 1:
-            return Fraction(1, 2 ** len(self.words[0]))
         k = len(self.words[0])
         common = self.words[0]
         for w in self.words[1:]:

@@ -234,7 +234,6 @@ class SynthesisResult(Value):
     homeo: object = None  # exact PrefixMap realization, when one is built
     tower: TowerSystem = None
     pieces: list = None
-    graph: OverlapGraph = None
     certificate: dict = None
     witness: Clopen = None
 
@@ -272,7 +271,7 @@ def odometer_in_weak_neighborhood(T, partition):
     """Odometer-structured S with S F_i = T F_i, or a closed-set witness."""
     g = overlap_graph(T, partition)
     if len(g.components) != 1:
-        return SynthesisResult(ok=False, graph=g, witness=g.witness)
+        return SynthesisResult(ok=False, witness=g.witness)
     pieces = _circuit_pieces(g)
     sig = partition[0].sig
     S = PrefixMap.make(sig, _glue_cycle(sig, pieces))
@@ -283,7 +282,7 @@ def odometer_in_weak_neighborhood(T, partition):
         "cycle_length": len(pieces),
     }
     return SynthesisResult(
-        ok=True, homeo=S, tower=tower, pieces=pieces, graph=g, certificate=cert
+        ok=True, homeo=S, tower=tower, pieces=pieces, certificate=cert
     )
 
 
@@ -291,26 +290,19 @@ def periodic_in_weak_neighborhood(T, partition):
     """Pointwise periodic P with P F_i = T F_i, or a closed-set witness."""
     g = overlap_graph(T, partition)
     if not g.balance_feasible:
-        return SynthesisResult(ok=False, graph=g, witness=g.witness)
+        return SynthesisResult(ok=False, witness=g.witness)
     sig = partition[0].sig
+    all_pieces = [_circuit_pieces(g, set(comp)) for comp in g.components]
     branches = []
-    orders = []
-    all_pieces = []
-    for comp in g.components:
-        pieces = _circuit_pieces(g, set(comp))
-        all_pieces.append(pieces)
-        branches.extend(_glue_cycle(sig, pieces, close_exactly=True))
-        orders.append(len(pieces))
+    for pieces in all_pieces:
+        branches += _glue_cycle(sig, pieces, close_exactly=True)
     P = PrefixMap.make(sig, branches)
     Tm = as_prefix_map(T)
-    order = lcm(*orders) if orders else 1
     cert = {
         "set_images_match": all(P.image(F) == Tm.image(F) for F in partition),
-        "order": order,
+        "order": lcm(*map(len, all_pieces)),
     }
-    return SynthesisResult(
-        ok=True, homeo=P, pieces=all_pieces, graph=g, certificate=cert
-    )
+    return SynthesisResult(ok=True, homeo=P, pieces=all_pieces, certificate=cert)
 
 
 def extend_cyclic_partition_to_odometer(cycle, levels=2):
@@ -328,14 +320,6 @@ def _positive(epsilon):
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return epsilon
-
-
-def _powers(M, k):
-    """[M, M^2, ..., M^k], one composition per step."""
-    out = [M] if k > 0 else []
-    while len(out) < k:
-        out.append(M.after(out[-1]))
-    return out
 
 
 def _iterates(M, A, k):
@@ -447,45 +431,12 @@ class Castle(Value):
         return [lvl for _, _, levels in self.towers for lvl in levels]
 
 
-def _separated_base(Tm, Tinv, n, depth, cycles=None):
-    """Words of a greedy clopen set built from depth-d cylinders, visiting
-    each orbit with gaps in [n, 2n-1]: given the depth-d cycles of T
-    (PrefixMap.cycles), the depth-d words themselves, found on cycle
-    positions (T^j moves a cylinder j places on) with no composition;
-    otherwise the canonical words of the set.
-    """
-    sig = Tm.sig
-    if cycles is not None:
-        where = {w: (cycle, i) for cycle in cycles for i, w in enumerate(cycle)}
-        base = []
-        blocked = set()  # words T^j(w), |j| < n, of the base words w so far
-        for w in sig.words(depth):
-            if w not in blocked:
-                base.append(w)
-                cycle, i = where[w]
-                m = len(cycle)
-                blocked.update(cycle[(i + j) % m] for j in range(1 - n, n))
-        return base
-    powers = _powers(Tm, n - 1) + _powers(Tinv, n - 1)
-    B = Clopen.empty(sig)
-    # union of T^j(B), 0 < |j| < n; a homeomorphism maps a union to the
-    # union of the images, so only the images of each new piece are added
-    blocked = Clopen.empty(sig)
-    for w in sig.words(depth):
-        add = Clopen(sig, (w,)) - blocked - B
-        if not add.is_empty:
-            B = B | add
-            for P in powers:
-                blocked = blocked | P.image(add)
-    return B.words
-
-
 def _first_return_towers(Tm, Tinv, B, cap):
     """Towers over B decomposed by first return time, exact.
 
-    A base from _separated_base for gap n returns within 2n - 1 steps,
-    because its images T^j(B), |j| < n, cover the space; the cap only
-    guards against a search without end.
+    A base separated by n returns within 2n - 1 steps, because its images
+    T^j(B), |j| < n, cover the space; the cap only guards against a search
+    without end.
     """
     towers = []
     remaining = back = B  # back is T^-h(B)
@@ -502,55 +453,66 @@ def _first_return_towers(Tm, Tinv, B, cap):
     return towers
 
 
-def _strands(Tm, Tinv, sep, depth, pull, cycles=None):
-    """One strand per piece of the base separated by sep: the word tuples of
-    T^-pull .. T^-1 of the piece, then of its return levels 0 .. h-1.  With
-    the depth-d cycles, a piece is a base word and its strand a slice of its
-    cycle.  Otherwise a piece is a first-return tower, pulled back by images
-    but for the last: as pull <= h, T^-j(B) is the union of the levels h - j,
-    and the last tower's pullbacks are what the other towers leave of it."""
-    words = _separated_base(Tm, Tinv, sep, depth, cycles)
+def _cycle_strands(cycles, sep, pull):
+    """One strand per word of the base separated by sep, read off the
+    depth-d cycles of T (PrefixMap.cycles); None when a cycle is shorter
+    than sep.  The base takes each word, in lexicographic order, whose cycle
+    holds no base word fewer than sep places from it (T^j moves a cylinder
+    j places on).  A base word's strand is the slice of its cycle from pull
+    places before it up to the next base word, one word tuple per place."""
+    if min(map(len, cycles)) < sep:
+        return None
     strands = []
-    if cycles is not None:
-        base = set(words)
-        for cycle in cycles:
-            m = len(cycle)
-            starts = [i for i, w in enumerate(cycle) if w in base]
-            for i, j in zip(starts, starts[1:] + [starts[0] + m]):
-                strands.append([(cycle[k % m],) for k in range(i - pull, j)])
-        return strands
-    sig = Tm.sig
-    towers = _first_return_towers(Tm, Tinv, Clopen(sig, words), 2 * sep)
-    for b, _, levels in towers[:-1]:
-        strands.append(list(_iterates(Tinv, b, pull + 1))[:0:-1] + levels)
+    for cycle in cycles:
+        m = len(cycle)
+        starts, blocked = [], set()
+        for i in sorted(range(m), key=cycle.__getitem__):
+            if i not in blocked:
+                starts.append(i)
+                blocked.update((i + j) % m for j in range(1 - sep, sep))
+        starts.sort()
+        for i, j in zip(starts, starts[1:] + [starts[0] + m]):
+            strands.append([(cycle[k % m],) for k in range(i - pull, j)])
+    return strands
+
+
+def _tower_strands(powers, Tinv, sep, depth, pull):
+    """One strand per first-return tower over the greedy clopen base of
+    depth-d cylinders separated by sep; None when some depth-d cylinder
+    meets its image under T^j, 0 < j < sep.  powers(j) is T^j.  A strand
+    is the word tuples of T^-pull .. T^-1 of the tower's base, then of its
+    levels 0 .. h-1.  The pullbacks are images but for the last tower's: as
+    pull <= h, T^-j(B) is the union of the levels h - j, and the last
+    tower's pullbacks are what the other towers leave of it."""
+    Tm, sig = powers(1), Tinv.sig
+    # powers(j) is composed when first asked for, so a depth without a cover
+    # composes only as far as its first intersecting cylinder
+    for w in sig.words(depth):
+        for j in range(1, sep):
+            image = refine_to(sig, powers(j).branches, [w])
+            if any(is_prefix(v, w) or is_prefix(w, v) for _, v, _ in image):
+                return None
+    B = blocked = Clopen.empty(sig)
+    # blocked is the union of T^j(B), 0 < |j| < sep; a homeomorphism maps a
+    # union to the union of the images, so only the images of each new piece
+    # are added
+    for w in sig.words(depth):
+        add = Clopen(sig, (w,)) - blocked - B
+        if not add.is_empty:
+            B = B | add
+            for j in chain(range(1, sep), range(-1, -sep, -1)):
+                blocked = blocked | powers(j).image(add)
+    towers = _first_return_towers(Tm, Tinv, B, 2 * sep)
+    strands = [
+        list(_iterates(Tinv, b, pull + 1))[:0:-1] + levels
+        for b, _, levels in towers[:-1]
+    ]
     last = towers[-1][2]
     for j in range(1, pull + 1):
         back = Clopen.make(sig, chain(*(lv[h - j].words for _, h, lv in towers)))
         rest = Clopen.make(sig, chain(*(s[pull - j].words for s in strands)))
         last = [back - rest] + last
     return [[A.words for A in s] for s in strands + [last]]
-
-
-def _separated_cover_exists(Tm, sep, depth, cycles=None):
-    """True when no depth-d cylinder meets its image under T^j, 0 < j < sep.
-
-    Given the depth-d cycles of T (PrefixMap.cycles), that is: every cycle
-    has length at least sep.  Otherwise powers are composed one step at a
-    time, only as far as the loop gets before the first intersecting
-    cylinder.
-    """
-    if cycles is not None:
-        return min(map(len, cycles)) >= sep
-    sig = Tm.sig
-    powers = [Tm]  # powers[j - 1] is T^j
-    for w in sig.words(depth):
-        for j in range(1, sep):
-            if j > len(powers):
-                powers.append(Tm.after(powers[-1]))
-            image = refine_to(sig, powers[j - 1].branches, [w])
-            if any(is_prefix(v, w) or is_prefix(w, v) for _, v, _ in image):
-                return False
-    return True
 
 
 def _best_windows(strands, candidates, spans, n, measures):
@@ -657,11 +619,14 @@ def rokhlin_castle(T, n, measures, epsilon):
     bound falls short, a second pass separates by a multiple of n large
     enough that slicing into height-n blocks provably leaves less than
     epsilon uncovered for some absorber position.  A candidate is a list of
-    windows of strands (_strands), bounded by integer prefix sums; only the
-    accepted castle's levels become clopen sets.  When T permutes the
-    depth-d cylinders (PrefixMap.cycles), the cycles decide the cover and
-    each strand is a slice of a cycle, so no power or image of T is made.
-    Fails with diagnostics at depth CASTLE_DEPTH_CAP.
+    windows of strands, bounded by integer prefix sums; only the accepted
+    castle's levels become clopen sets.  Each depth forks once: when T
+    permutes the depth-d cylinders (PrefixMap.cycles), the strands are
+    slices of its cycles (_cycle_strands) and no power or image of T is
+    made; otherwise they are first-return towers (_tower_strands) over
+    powers of T from one list per search, each composed once, from the one
+    before it, when first asked for.  Fails with diagnostics at depth
+    CASTLE_DEPTH_CAP.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -673,17 +638,29 @@ def rokhlin_castle(T, n, measures, epsilon):
         raise ValueError("signature mismatch")
     sep = max(2, int(len(measures) / epsilon) + 1) * n
     Tinv = Tm.inverse()
+    made = {1: [Tm], -1: [Tinv]}  # made[1][k] is T^(k+1), made[-1][k] T^-(k+1)
+
+    def powers(j):
+        steps = made[1 if j > 0 else -1]
+        while len(steps) < abs(j):
+            steps.append(steps[0].after(steps[-1]))
+        return steps[abs(j) - 1]
+
     last_diag = None
     for depth in range(1, CASTLE_DEPTH_CAP + 1):
         cycles = Tm.cycles(depth)
-        if not _separated_cover_exists(Tm, n, depth, cycles):
+        if cycles is None:
+            strands_of = lambda s, pull: _tower_strands(powers, Tinv, s, depth, pull)
+        else:
+            strands_of = lambda s, pull: _cycle_strands(cycles, s, pull)
+        strands = strands_of(n, n)
+        if strands is None:
             last_diag = f"no separated cover at depth {depth}"
             continue
-        strands = _strands(Tm, Tinv, n, depth, n, cycles)
         bound, windows = _shifted_top_castle(strands, n, measures)
         best = min(bound)
-        if best <= 1 - epsilon and _separated_cover_exists(Tm, sep, depth, cycles):
-            strands = _strands(Tm, Tinv, sep, depth, 0, cycles)
+        if best <= 1 - epsilon and (sliced := strands_of(sep, 0)) is not None:
+            strands = sliced
             bound, windows = _sliced_castle(strands, n, measures)
             best = max(best, min(bound))
         if min(bound) > 1 - epsilon:
@@ -782,7 +759,7 @@ class PeriodicApproximant(Value):
 APPROX_DEPTH_CAP = 40
 
 
-def periodic_approx_odometer(S, mode, epsilon=None, measures=None):
+def periodic_approx_odometer(S, mode, epsilon, measures=None):
     """Periodic Q near the odometer S: weak mode bounds d_w, uniform mode
     bounds the measure of the difference set.
 
@@ -791,7 +768,7 @@ def periodic_approx_odometer(S, mode, epsilon=None, measures=None):
     """
     if not isinstance(S, Odometer):
         raise TypeError("periodic approximation targets an odometer")
-    epsilon = Fraction(epsilon)
+    epsilon = _positive(epsilon)
     sig = S.sig
     if mode == "weak":
         t = 1

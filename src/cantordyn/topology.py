@@ -74,10 +74,7 @@ def _tower_interval(S, T):
     tower, other = (S, T) if isinstance(S, TowerSystem) else (T, S)
     other = as_prefix_map(other)
     other_inv = other.inverse()
-    lo = Fraction(0)
-    hi = Fraction(0)
-    lo_inv = Fraction(0)
-    hi_inv = Fraction(0)
+    lo = hi = lo_inv = hi_inv = Fraction(0)
     cycle = tower.levels[-1]
     m = len(cycle)
     for i, atom in enumerate(cycle):
@@ -96,12 +93,8 @@ def in_neighborhood(S, N):
     """Exact membership with a certificate; raises IndeterminateAtDepth when
     only an interval straddling the threshold is available."""
     if isinstance(N, PNeighborhood):
-        T = as_prefix_map(N.base)
-        Sm = as_prefix_map(S)
-        wrong = []
-        for F in N.sets:
-            if Sm.image(F) != T.image(F):
-                wrong.append(F)
+        T, Sm = as_prefix_map(N.base), as_prefix_map(S)
+        wrong = [F for F in N.sets if Sm.image(F) != T.image(F)]
         return Membership(not wrong, {"mismatched_sets": wrong})
     if isinstance(N, UniformNeighborhood):
         E = difference_set(S, N.base)

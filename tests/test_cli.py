@@ -125,6 +125,9 @@ def test_maps_over_different_signatures_are_refused(capsys, argv):
     assert run(capsys, *argv) == (1, "", "error: signature mismatch\n")
 
 
+ROKHLIN = ["rokhlin", "--target", "odometer:dyadic", "--n", "2", "--measure", "uniform"]
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -149,6 +152,15 @@ def test_maps_over_different_signatures_are_refused(capsys, argv):
         (["dist", "swap", "odometer:dyadic:x"], "expected an integer"),
         (["dist", "swap", "odometer:dyadic:+3"],
          "not canonical: integer-form +3 (printed 3)"),
+        # --epsilon is a rational as a document prints it
+        (ROKHLIN + ["--epsilon", "0.25"], "trailing input after --epsilon"),
+        (ROKHLIN + ["--epsilon", "2.5e-1"], "trailing input after --epsilon"),
+        (ROKHLIN + ["--epsilon", "1_0/30"], "trailing input after --epsilon"),
+        (ROKHLIN + ["--epsilon", "\u0663/4"], "expected an integer"),
+        (ROKHLIN + ["--epsilon", "2/4"],
+         "not canonical: rational-form 2/4 (printed 1/2)"),
+        (ROKHLIN + ["--epsilon", "+1/4"],
+         "not canonical: rational-form +1/4 (printed 1/4)"),
     ],
 )
 def test_bad_arguments_are_refused_by_name(capsys, argv, reason):
@@ -365,13 +377,10 @@ def test_golden_output(capsys):
         assert (out, code) == (g["stdout"], g["code"]), g["argv"]
 
 
-ROKHLIN = ["rokhlin", "--target", "odometer:dyadic", "--n", "2", "--measure", "uniform"]
-
-
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (ROKHLIN + ["--epsilon", "1/0"], "--epsilon 1/0 has a zero denominator"),
+        (ROKHLIN + ["--epsilon", "1/0"], "zero-denominator: rational 1/0"),
         (ROKHLIN + ["--epsilon", "0"], "epsilon must be positive"),
         (["synth", "aperiodize", "--target", "swap", "--epsilon", "0"],
          "epsilon must be positive"),

@@ -2,6 +2,8 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,12 +31,11 @@ from cantordyn.homeo import (
 from cantordyn.synth import (
     _castle,
     _first_return_towers,
+    _cycle_strands,
     _iterates,
-    _separated_base,
-    _separated_cover_exists,
     _shifted_top_castle,
     _sliced_castle,
-    _strands,
+    _tower_strands,
     aperiodize_periodic,
     canonical_clopen_homeo,
     euler_circuit,
@@ -369,6 +370,39 @@ def _dyadic_word(v, depth):
     return tuple((v >> t) & 1 for t in range(depth))
 
 
+def _power_table(Tm, sep):
+    """j -> T^j for 0 < |j| < sep, all composed before it is handed out."""
+    return {j: Tm.power(j) for j in range(1 - sep, sep) if j}.__getitem__
+
+
+def _strands_of(Tm, depth, sep):
+    """(s, pull) -> the strands that rokhlin_castle builds at this depth for
+    separation s <= sep: cycle slices when T permutes the depth-d cylinders,
+    return towers otherwise."""
+    cycles = Tm.cycles(depth)
+    if cycles is not None:
+        return partial(_cycle_strands, cycles)
+    powers, Tinv = _power_table(Tm, sep), Tm.inverse()
+    return lambda s, pull: _tower_strands(powers, Tinv, s, depth, pull)
+
+
+def _base(sig, strands, pull=0):
+    """The union of the strands' base pieces, each pull places in."""
+    return Clopen.make(sig, chain(*(strand[pull] for strand in strands)))
+
+
+def _merged(sig, strands):
+    """Strands of one length merged level by level, shortest first: what the
+    strands of single base words give for their return towers."""
+    by_length = {}
+    for strand in strands:
+        by_length.setdefault(len(strand), []).append(strand)
+    return [
+        [Clopen.make(sig, chain(*level)) for level in zip(*by_length[h])]
+        for h in sorted(by_length)
+    ]
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_separated_base_separates_and_covers(k, n):
@@ -376,10 +410,12 @@ def test_separated_base_separates_and_covers(k, n):
     every point of it returns after n to 2n-1 steps.  T^j acts on the depth-d
     word mask as adding j*k to the binary value, level 0 least significant."""
     Tm = as_prefix_map(Odometer(SIG, k))
-    depths = [d for d in range(1, 7) if _separated_cover_exists(Tm, n, d)]
-    assert depths
-    for depth in depths:
-        B = Clopen(SIG, _separated_base(Tm, Tm.inverse(), n, depth))
+    Tinv, powers = Tm.inverse(), _power_table(Tm, n)
+    found = [(d, _tower_strands(powers, Tinv, n, d, 0)) for d in range(1, 7)]
+    found = [(d, strands) for d, strands in found if strands is not None]
+    assert found
+    for depth, strands in found:
+        B = _base(SIG, strands)
         assert all(len(w) <= depth for w in B.words)
         size = 2**depth
         base = {_dyadic_value(w) for w in mask(B, depth)}
@@ -403,10 +439,22 @@ def test_separated_base_separates_and_covers(k, n):
 @pytest.mark.parametrize("sig", SIGS)
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_separated_base_steps_its_powers(sig, n, compositions):
-    """T^1 ... T^(n-1) and T^-1 ... T^-(n-1) cost one composition each."""
+    """The tower path asks for T^j, 0 < |j| < n, and for nothing else, and
+    composes none itself: the search's power list composes them (see
+    test_rokhlin_castle_composes_each_power_once)."""
     Tm = as_prefix_map(Odometer(sig, 1))
-    _separated_base(Tm, Tm.inverse(), n, 4)
-    assert len(compositions) <= 2 * (n - 1)
+    table = _power_table(Tm, n)
+    asked = []
+
+    def powers(j):
+        asked.append(j)
+        return table(j)
+
+    compositions.clear()
+    for pull in (0, n):
+        assert _tower_strands(powers, Tm.inverse(), n, 4, pull) is not None
+    assert compositions == []
+    assert set(asked) == {j for j in range(1 - n, n) if j}
 
 
 @settings(max_examples=80, deadline=None)
@@ -419,33 +467,34 @@ def test_separated_base_steps_its_powers(sig, n, compositions):
 )
 def test_cycle_path_matches_composition_path(sig, k, rng, n, depth):
     """On a synchronous map (an odometer shift, or a random_homeo map when k
-    is None) the depth-d cycles give the cover answer and the base that
-    composing powers of T gives: the cycle path hands back depth-d words,
-    the composition path the canonical words of the same set."""
+    is None) the depth-d cycles give the cover answer that composing powers
+    of T gives, and their strands, one per base word, merge into the return
+    towers of the greedy clopen base with their pullbacks."""
     Tm = random_homeo(rng, sig) if k is None else as_prefix_map(Odometer(sig, k))
-    Tinv = Tm.inverse()
+    Tinv, powers = Tm.inverse(), _power_table(Tm, n)
     depth = max(depth, Tm.max_domain_depth())
     cycles = Tm.cycles(depth)
     assert cycles is not None
-    assert _separated_cover_exists(Tm, n, depth, cycles) == _separated_cover_exists(
-        Tm, n, depth, None
-    )
-    words = _separated_base(Tm, Tinv, n, depth, cycles)
-    assert all(len(w) == depth for w in words) and words == sorted(words)
-    composed = _separated_base(Tm, Tinv, n, depth, None)
-    assert Clopen.make(sig, words) == Clopen(sig, composed)
+    for pull in (0, n):
+        words = _cycle_strands(cycles, n, pull)
+        towers = _tower_strands(powers, Tinv, n, depth, pull)
+        assert (words is None) == (towers is None)
+        if words is not None:
+            assert all(len(w) == depth for strand in words for (w,) in strand)
+            expected = [[Clopen(sig, lvl) for lvl in strand] for strand in towers]
+            assert _merged(sig, words) == expected
 
 
 @pytest.mark.parametrize("sig", SIGS)
 @pytest.mark.parametrize("k", [1, 3])
 def test_cycle_path_composes_nothing(sig, k, compositions):
     Tm = as_prefix_map(Odometer(sig, k))
-    Tinv = Tm.inverse()
+    compositions.clear()
     for depth in range(1, 7):
         cycles = Tm.cycles(depth)
         for n in (2, 5, 18):
-            if _separated_cover_exists(Tm, n, depth, cycles):
-                _separated_base(Tm, Tinv, n, depth, cycles)
+            for pull in (0, n):
+                _cycle_strands(cycles, n, pull)
     assert compositions == []
 
 
@@ -456,10 +505,10 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
     """The castle over T^-K of the tops, found without any power call, is the
     one chosen from the powers directly, the larger K winning ties."""
     Tm = as_prefix_map(Odometer(sig, k))
-    Tinv = Tm.inverse()
+    Tinv, powers = Tm.inverse(), _power_table(Tm, n)
     measures = [ProductMeasure.uniform(sig)]
-    depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, n, d))
-    B0 = Clopen(sig, _separated_base(Tm, Tinv, n, depth))
+    depth = next(d for d in range(1, 8) if _tower_strands(powers, Tinv, n, d, 0))
+    B0 = _base(sig, _tower_strands(powers, Tinv, n, depth, 0))
     towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * n)
     V = Clopen.empty(sig)
     for _, _, levels in towers0:
@@ -478,8 +527,11 @@ def test_shifted_top_castle_steps_back(sig, k, n, monkeypatch):
         raise AssertionError("power called")
 
     monkeypatch.setattr(PrefixMap, "power", no_power)
-    for cycles in (None, Tm.cycles(depth)):
-        strands = _strands(Tm, Tinv, n, depth, n, cycles)
+    cycles = Tm.cycles(depth)
+    for strands in (
+        _tower_strands(powers, Tinv, n, depth, n),
+        _cycle_strands(cycles, n, n),
+    ):
         castle = _pass_castle(sig, strands, _shifted_top_castle, n, measures)
         assert castle.base == expected
     assert castle.bound == covered_bounds(castle.base)
@@ -539,14 +591,11 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
     measures = [_castle_measure(kind, sig, rng) for kind in kinds]
     Tinv = Tm.inverse()
     sep = slices * n
-    depth = next(
-        (d for d in range(1, 7) if _separated_cover_exists(Tm, sep, d, Tm.cycles(d))),
-        None,
-    )
+    found = ((d, _strands_of(Tm, d, sep)) for d in range(1, 7))
+    depth, strands_of = next(((d, f) for d, f in found if f(sep, 0)), (None, None))
     if depth is None:  # a periodic random_homeo map
         return
-    cycles = Tm.cycles(depth)
-    B0 = Clopen.make(sig, _separated_base(Tm, Tinv, sep, depth, cycles))
+    B0 = _base(sig, strands_of(sep, 0))
     towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
 
     def covered_bounds(B):
@@ -562,7 +611,7 @@ def test_castle_bounds_are_the_measures_of_the_cover(sig, k, rng, kinds, n, slic
     _, _, B = max(shifted, key=lambda c: c[:2])
 
     def check(castle_pass, pull, B):
-        strands = _strands(Tm, Tinv, sep, depth, pull, cycles)
+        strands = strands_of(sep, pull)
         castle = _pass_castle(sig, strands, castle_pass, n, measures)
         assert (castle.base, castle.bound) == (B, covered_bounds(B))
         assert castle.towers == _first_return_towers(Tm, Tinv, B, cap=2 * sep)
@@ -595,18 +644,19 @@ def test_castle_passes_image_little(sig, k, n, images):
     Tinv = Tm.inverse()
     measures = [ProductMeasure.uniform(sig), _skew(sig)]
     for sep in (n, 3 * n):
-        depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
+        powers = _power_table(Tm, sep)
+        depth = next(d for d in range(1, 8) if _tower_strands(powers, Tinv, sep, d, 0))
         images.clear()
-        flat = _strands(Tm, Tinv, sep, depth, 0)
+        flat = _tower_strands(powers, Tinv, sep, depth, 0)
         unpulled = len(images)
         images.clear()
-        pulled = _strands(Tm, Tinv, sep, depth, n)
+        pulled = _tower_strands(powers, Tinv, sep, depth, n)
         assert len(images) == unpulled + n * (len(pulled) - 1)
         images.clear()
         _pass_castle(sig, flat, _sliced_castle, n, measures)
         _pass_castle(sig, pulled, _shifted_top_castle, n, measures)
         for pull in (0, n):
-            _strands(Tm, Tinv, sep, depth, pull, Tm.cycles(depth))
+            _cycle_strands(Tm.cycles(depth), sep, pull)
         assert images == []
 
 
@@ -635,15 +685,16 @@ def test_castle_passes_over_towers_of_two_heights(n, images):
     Tm, Tinv = TWO_CYCLES, TWO_CYCLES.inverse()
     measures = [UNI, _skew(SIG)]
     for sep in (n, 3 * n):
-        depth = next(d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d))
-        B0 = Clopen(SIG, _separated_base(Tm, Tinv, sep, depth))
+        powers = _power_table(Tm, sep)
+        depth = next(d for d in range(1, 8) if _tower_strands(powers, Tinv, sep, d, 0))
+        B0 = _base(SIG, _tower_strands(powers, Tinv, sep, depth, 0))
         towers0 = _first_return_towers(Tm, Tinv, B0, cap=2 * sep)
         assert len({h for _, h, _ in towers0}) == 2
         images.clear()
-        flat = _strands(Tm, Tinv, sep, depth, 0)
+        flat = _tower_strands(powers, Tinv, sep, depth, 0)
         unpulled = len(images)
         images.clear()
-        pulled = _strands(Tm, Tinv, sep, depth, n)
+        pulled = _tower_strands(powers, Tinv, sep, depth, n)
         assert len(images) - unpulled == n * (len(towers0) - 1) > 0
         shifted = _pass_castle(SIG, pulled, _shifted_top_castle, n, measures)
         for castle in (shifted, _pass_castle(SIG, flat, _sliced_castle, n, measures)):
@@ -673,15 +724,17 @@ def test_cycle_strands_give_the_composition_castles(T, n, images):
     Tinv, sig = Tm.inverse(), Tm.sig
     measures = [ProductMeasure.uniform(sig), _skew(sig)]
     for sep in (n, 3 * n):
-        depths = [d for d in range(1, 8) if _separated_cover_exists(Tm, sep, d)][:2]
+        powers = _power_table(Tm, sep)
+        synchronous = [d for d in range(1, 8) if Tm.cycles(d) is not None]
+        depths = [d for d in synchronous if _cycle_strands(Tm.cycles(d), sep, 0)][:2]
         for depth in depths:
             for castle_pass, pull in ((_shifted_top_castle, n), (_sliced_castle, 0)):
                 images.clear()
-                strands = _strands(Tm, Tinv, sep, depth, pull, Tm.cycles(depth))
+                strands = _cycle_strands(Tm.cycles(depth), sep, pull)
                 assert images == []
                 assert all(len(el) == 1 for strand in strands for el in strand)
                 castle = _pass_castle(sig, strands, castle_pass, n, measures)
-                composed = _strands(Tm, Tinv, sep, depth, pull)
+                composed = _tower_strands(powers, Tinv, sep, depth, pull)
                 assert castle == _pass_castle(sig, composed, castle_pass, n, measures)
                 assert castle.towers == _first_return_towers(
                     Tm, Tinv, castle.base, 2 * sep
@@ -697,8 +750,9 @@ def test_cycle_strands_give_the_composition_castles(T, n, images):
 def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
     """Every strand list the search builds goes to the one pass that it was
     built for, at each depth where a pass runs; first-return towers are
-    found only on the composition path, once per strand list, so never
-    again over the base that the search accepts."""
+    found only for tower strands, once per strand list, so never again over
+    the base that the search accepts.  Odometers take the cycle strands and
+    the map conjugated by DISS the tower strands, at every depth."""
     made, cut, towers = [], [], []
 
     def spy(fn, log, keep):
@@ -709,7 +763,9 @@ def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(synth, "_strands", spy(_strands, made, lambda out, a: out))
+    for fn in (_cycle_strands, _tower_strands):
+        built = spy(fn, made, lambda out, args, fn=fn: (fn, out))
+        monkeypatch.setattr(synth, fn.__name__, built)
     monkeypatch.setattr(
         synth, "_first_return_towers", spy(_first_return_towers, towers, lambda o, a: o)
     )
@@ -724,10 +780,32 @@ def test_rokhlin_castle_returns_the_castle_it_measured(monkeypatch):
         for n in (2, 3, 4):
             for eps in (Fraction(1, 4), Fraction(1, 8)):
                 rokhlin_castle(M, n, [UNI, skew], eps)
-        assert len(made) == len(cut)
-        assert all(strands is s for strands, (_, s) in zip(made, cut))
+        assert {fn for fn, _ in made} == {_tower_strands if M is T else _cycle_strands}
+        built = [strands for _, strands in made if strands is not None]
+        assert len(built) == len(cut)
+        assert all(strands is s for strands, (_, s) in zip(built, cut))
         assert {fn for fn, _ in cut} == {_shifted_top_castle, _sliced_castle}
-        assert len(towers) == (len(made) if M is T else 0)
+        assert len(towers) == (len(built) if M is T else 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 8)])
+def test_rokhlin_castle_composes_each_power_once(n, eps, compositions):
+    """The search composes T^2 .. T^(sep-1) and T^-2 .. T^-(sep-1) at most
+    once each, each from the one before, however many depths and passes ask
+    for them: with the n compositions of the period refusal, at most
+    n + 2(sep - 2).  An odometer castle reads its strands off cycles and
+    composes only the n maps of the period refusal."""
+    skew = ProductMeasure.make(SIG, [], [(Fraction(1, 3), Fraction(2, 3))])
+    T = DISS.after(as_prefix_map(OD)).after(DISS.inverse())
+    for measures in ([UNI], [UNI, skew]):
+        sep = max(2, int(len(measures) / eps) + 1) * n
+        compositions.clear()
+        rokhlin_castle(T, n, measures, eps)
+        assert len(compositions) <= n + 2 * (sep - 2)
+        compositions.clear()
+        rokhlin_castle(OD, n, measures, eps)
+        assert len(compositions) == n
 
 
 @pytest.mark.parametrize("sig", SIGS[:2])
@@ -1023,6 +1101,13 @@ def test_periodic_approx_weak_at_a_small_epsilon():
     assert time.monotonic() - t0 < 5
     assert res.ok and res.depth == 32
     assert res.certificate["weak_distance"] == Fraction(2, 2**32)
+
+
+@pytest.mark.parametrize("mode", ["weak", "uniform"])
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 2)])
+def test_periodic_approx_refuses_a_nonpositive_epsilon(mode, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        periodic_approx_odometer(OD, mode, epsilon, measures=[UNI])
 
 
 def _enumerated_truncation(sig, t, k):
