@@ -20,9 +20,7 @@ from .space import DYADIC, word_text
 from .homeo import (
     Odometer,
     PrefixMap,
-    as_prefix_map,
     centralizer_index_sequence,
-    compose,
     difference_set,
     full_group_membership,
     period_structure,
@@ -213,15 +211,15 @@ def cmd_defect(args, out):
 
 def cmd_compose(args, out):
     maps = [resolve_homeo(t) for t in args.maps]
-    acc = as_prefix_map(maps[0])
+    acc = maps[0]
     for m in maps[1:]:
-        acc = compose(acc, m)
-    out.doc(df.doc_homeo(as_prefix_map(acc)))
+        acc = acc.after(m)
+    out.doc(df.doc_homeo(acc))
     return 0
 
 
 def cmd_tabulate(args, out):
-    T = as_prefix_map(resolve_homeo(args.T))
+    T = resolve_homeo(args.T)
     sig = T.sig
     _cap_depth(sig, args.depth, args.depth)
     for u, v, c in sorted(T.table(args.depth)):
@@ -237,14 +235,13 @@ def cmd_diff(args, out):
     entries = {"core": E.core}
     for i, x in enumerate(E.removed):
         entries[f"removed_{i}"] = x
-    out.doc(df.doc_certificate(as_prefix_map(S).sig, "difference", entries))
+    out.doc(df.doc_certificate(S.sig, "difference", entries))
     return 0
 
 
 def cmd_periods(args, out):
     _cap("--bound", args.bound, BOUND_CAP)
     T = resolve_homeo(args.T)
-    sig = as_prefix_map(T).sig
     info = period_structure(T, args.bound)
     entries = {"aperiodic": info["aperiodic_up_to_bound"]}
     for q, part in sorted(info["exact_period_parts"].items()):
@@ -253,7 +250,7 @@ def cmd_periods(args, out):
         for i, x in enumerate(pts):
             entries[f"isolated_{q}_{i}"] = x
     entries["residual"] = info["residual"]
-    out.doc(df.doc_certificate(sig, "periods", entries))
+    out.doc(df.doc_certificate(T.sig, "periods", entries))
     return 0
 
 
@@ -261,20 +258,19 @@ def cmd_fullgroup(args, out):
     _cap("--bound", args.bound, BOUND_CAP)
     S = resolve_homeo(args.S)
     T = resolve_homeo(args.T)
-    sig = as_prefix_map(S).sig
     pieces, missing = full_group_membership(S, T, args.bound)
     if pieces is None:
-        out.doc(df.doc_certificate(sig, "refusal", {"unmatched": missing}))
+        out.doc(df.doc_certificate(S.sig, "refusal", {"unmatched": missing}))
         return 2
     entries = {f"power_{i}": E for i, E in sorted(pieces.items())}
-    out.doc(df.doc_certificate(sig, "fullgroup", entries))
+    out.doc(df.doc_certificate(S.sig, "fullgroup", entries))
     return 0
 
 
 def cmd_centralizer(args, out):
     R = resolve_homeo(args.R)
     S = resolve_homeo(args.S)
-    if not isinstance(S, Odometer):
+    if S.shift is None:
         raise CliError("centralizer test needs an odometer as second argument")
     # the test refines R to every cylinder of depth + 1
     _cap_depth(S.sig, args.depth, args.depth + 1)
@@ -294,7 +290,7 @@ def cmd_synth(args, out):
 
     kind = args.kind
     T = resolve_homeo(args.target)
-    sig = as_prefix_map(T).sig
+    sig = T.sig
     if kind in ("odometer", "periodic"):
         if args.partition is None:
             raise CliError(f"synth {kind} needs --partition")
@@ -354,7 +350,7 @@ def cmd_rokhlin(args, out):
     from .synth import rokhlin_castle
 
     T = resolve_homeo(args.target)
-    sig = as_prefix_map(T).sig
+    sig = T.sig
     measures = [resolve_measure(m, sig) for m in args.measure]
     eps = _epsilon(args)
     castle = rokhlin_castle(T, args.n, measures, eps)
@@ -368,8 +364,7 @@ def cmd_graph_dot(args, out):
     from .synth import overlap_graph
 
     T = resolve_homeo(args.target)
-    sig = as_prefix_map(T).sig
-    partition = parse_partition(args.partition, sig)
+    partition = parse_partition(args.partition, T.sig)
     g = overlap_graph(T, partition)
     out.text(g.to_dot())
     return 0

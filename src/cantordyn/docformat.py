@@ -77,7 +77,7 @@ def sig_text(sig):
 
 
 def homeo_text(h):
-    if isinstance(h, Odometer):
+    if h.shift is not None:
         return f"odometer {sig_text(h.sig)} {h.shift}"
     kind = "tree-pair" if h.is_tree_pair else "shift-pair"
     return f"{kind} {sig_text(h.sig)} {{{branches_text(h.sig, h.branches)}}}"
@@ -397,7 +397,12 @@ class _Parser:
     def homeo(self):
         self.ws()
         if self.try_lit("odometer"):
-            return Odometer(self.sig(), self.int_())
+            sig = self.sig()
+            k = self.int_()
+            if not k:
+                ident = homeo_text(PrefixMap.identity(sig))
+                self.error(f"not canonical: zero-shift (printed {ident})")
+            return Odometer(sig, k)
         shifted = self.try_lit("shift-pair")
         if not shifted and not self.try_lit("tree-pair"):
             self.error("expected tree-pair, shift-pair or odometer")
@@ -411,6 +416,8 @@ class _Parser:
             self.error(str(e))
         if pm.branches != tuple(branches):
             self.error("not canonical: branches-not-canonical")
+        if pm.shift is not None:
+            self.error(f"not canonical: odometer-form (printed {homeo_text(pm)})")
         return pm
 
     def _branch(self, sig, shifted):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import docformat as df
 from .space import DYADIC, Clopen, Point, Signature
 from .measure import Dirac, Mixture, ProductMeasure
-from .homeo import Odometer, PrefixMap, as_prefix_map
+from .homeo import Odometer, PrefixMap
 from .topology import BarPNeighborhood, PNeighborhood, UniformNeighborhood, WeakBall
 
 
@@ -66,21 +66,19 @@ def random_measure(rng, sig):
     return Mixture.make(sig, [(w, ProductMeasure.uniform(sig)), (1 - w, atom)])
 
 
-def random_homeo(rng, sig, depth=3, as_map=True):
+def random_homeo(rng, sig, depth=3):
     """An odometer shift, a tree pair permuting the cylinders of a depth
-    drawn from 1 to depth, or the odometer after such a tree pair.  The
-    odometer comes back as a PrefixMap when as_map is set."""
+    drawn from 1 to depth, or the odometer after such a tree pair."""
     c = rng.randrange(3)
     if c == 0:
-        od = Odometer(sig, rng.choice([-2, -1, 1, 2, 3]))
-        return as_prefix_map(od) if as_map else od
+        return Odometer(sig, rng.choice([-2, -1, 1, 2, 3]))
     words = list(sig.words(rng.randint(1, depth)))
     perm = list(words)
     rng.shuffle(perm)
     tp = PrefixMap.tree_pair(sig, list(zip(words, perm)))
     if c == 1:
         return tp
-    return as_prefix_map(Odometer(sig, 1)).after(tp)
+    return Odometer(sig, 1).after(tp)
 
 
 def random_partition(rng, sig, max_atoms=16):
@@ -112,9 +110,9 @@ def random_document(rng, kind=None):
     if kind == "measure":
         return df.doc_measure(random_measure(rng, sig))
     if kind == "homeo":
-        return df.doc_homeo(random_homeo(rng, sig, depth=2, as_map=False))
+        return df.doc_homeo(random_homeo(rng, sig, depth=2))
     if kind == "neighborhood":
-        base = random_homeo(rng, sig, depth=2, as_map=False)
+        base = random_homeo(rng, sig, depth=2)
         c = rng.randrange(4)
         eps = Fraction(1, rng.choice([2, 4, 8]))
         if c == 0:

@@ -13,9 +13,14 @@ compose and invert full maps and partial fragments alike, and
 PrefixMap.after and inverse are built on them.  refine_to is the one
 restriction walk: images, restricted fragments, the common refinement of two
 maps and the centralizer test all read it.  Every PrefixMap that make,
-after, inverse, power, identity or Odometer.as_map returns is canonical as
-built (no complete sibling family of branches is left unmerged), so
-equality and hashing are those of the (sig, branches) tuple, as for Clopen.
+after, inverse, power, identity or Odometer returns is canonical as built
+(no complete sibling family of branches is left unmerged), so equality and
+hashing are those of the (sig, branches) tuple, as for Clopen.
+
+The odometer is no type of its own: Odometer(sig, k) builds the one branch
+(e, e, k), and Odometer(sig, 0) is the identity.  A map's shift is k exactly
+when it is that one branch with k != 0, and None otherwise; the odometers
+are the maps with a shift, whatever way they were built.
 
 _cells is the one comparison of two maps: on each cylinder of their common
 refinement they agree, stay 2^-k apart at every point, or meet at exactly
@@ -129,6 +134,13 @@ class PrefixMap(Value):
                 raise ValueError(
                     f"tail alphabets differ between {u} and {v}"
                 )
+
+    @property
+    def shift(self):
+        """k when this is the adding machine x |-> x + k, k != 0, else None."""
+        if len(self.branches) == 1 and self.branches[0][2]:
+            return self.branches[0][2]
+        return None
 
     @property
     def is_tree_pair(self):
@@ -443,7 +455,6 @@ def _one_sided_difference(S, T):
 
 def difference_set(S, T):
     """E(S, T): where the maps differ or their inverses differ."""
-    S, T = as_prefix_map(S), as_prefix_map(T)
     fwd_core, fwd_removed = _one_sided_difference(S, T)
     inv_core, inv_removed = _one_sided_difference(S.inverse(), T.inverse())
     core = fwd_core | inv_core
@@ -458,7 +469,6 @@ def difference_set(S, T):
 
 def weak_distance(S, T):
     """d_w(S, T) = sup d(Sx, Tx) + sup d(S~x, T~x), exact for PrefixMaps."""
-    S, T = as_prefix_map(S), as_prefix_map(T)
     return sup_pointwise_distance(S, T) + sup_pointwise_distance(
         S.inverse(), T.inverse()
     )
@@ -467,53 +477,35 @@ def weak_distance(S, T):
 # -- named variants ----------------------------------------------------------
 
 
-class Odometer(Value):
-    """The adding machine x |-> x + k on the mixed-radix digit group."""
+def Odometer(sig, shift=1):
+    """The adding machine x |-> x + shift on the mixed-radix digit group."""
+    return PrefixMap(sig, (((), (), shift),))
 
-    sig: Signature
-    shift: int = 1
 
-    def as_map(self):
-        return PrefixMap(self.sig, (((), (), self.shift),))
-
-    def power(self, n):
-        return Odometer(self.sig, self.shift * n)
-
-    def inverse(self):
-        return Odometer(self.sig, -self.shift)
+# one-line names over PrefixMap, for callers that name operations by function
 
 
 def as_prefix_map(h):
-    if isinstance(h, PrefixMap):
-        return h
-    if isinstance(h, Odometer):
-        return h.as_map()
-    raise TypeError(f"cannot resolve {type(h).__name__} to an exact map")
+    """h itself: every exact map is a PrefixMap."""
+    return h
 
 
 def compose(S, T):
-    """S o T.  Exact PrefixMap unless a set-level tower system is involved."""
-    if isinstance(S, Odometer) and isinstance(T, Odometer) and S.sig == T.sig:
-        return Odometer(S.sig, S.shift + T.shift)
-    return as_prefix_map(S).after(as_prefix_map(T))
+    """S o T."""
+    return S.after(T)
 
 
 def inverse(T):
-    if isinstance(T, Odometer):
-        return T.inverse()
-    return as_prefix_map(T).inverse()
+    return T.inverse()
 
 
 def power(T, n):
-    if isinstance(T, Odometer):
-        return T.power(n)
-    return as_prefix_map(T).power(n)
+    return T.power(n)
 
 
 def tabulate(T, depth):
     """Depth-t domain cylinders with their exact image clopen sets."""
-    m = as_prefix_map(T)
-    return [(Clopen(m.sig, (u,)), Clopen(m.sig, (v,))) for u, v, _ in m.table(depth)]
+    return [(Clopen(T.sig, (u,)), Clopen(T.sig, (v,))) for u, v, _ in T.table(depth)]
 
 
 # -- fixed and periodic structure ---------------------------------------------
@@ -521,15 +513,14 @@ def tabulate(T, depth):
 
 def fixed_points(T):
     """Clopen fixed part and isolated fixed points of an exact map."""
-    m = as_prefix_map(T)
     fixed_words = []
     isolated = []
-    for w, b1, b2, k, meets in _cells(m, PrefixMap.identity(m.sig)):
+    for w, b1, b2, k, meets in _cells(T, PrefixMap.identity(T.sig)):
         if k is None:
             fixed_words.append(w)
         elif meets:
-            isolated.append(_solve_agreement_point(m.sig, w, b1, b2))
-    return Clopen.make(m.sig, fixed_words), sorted(
+            isolated.append(_solve_agreement_point(T.sig, w, b1, b2))
+    return Clopen.make(T.sig, fixed_words), sorted(
         isolated, key=lambda p: (p.head, p.cycle)
     )
 
@@ -542,12 +533,11 @@ def exact_period_steps(T, max_power):
     exact period p are the fixed points of T^p not fixed by any lower power.
     Each power is composed only when the caller asks for its step.
     """
-    m = as_prefix_map(T)
-    covered = Clopen.empty(m.sig)
+    covered = Clopen.empty(T.sig)
     seen = []
-    cur = PrefixMap.identity(m.sig)
+    cur = PrefixMap.identity(T.sig)
     for p in range(1, max_power + 1):
-        cur = m.after(cur)
+        cur = T.after(cur)
         fix, iso = fixed_points(cur)
         part = fix - covered
         points = [x for x in iso if not x.in_clopen(covered) and x not in seen]
@@ -561,16 +551,15 @@ def period_structure(T, max_power):
     from every step of exact_period_steps."""
     if max_power < 1:
         raise ValueError(f"bound must be positive, got {max_power}")
-    m = as_prefix_map(T)
     exact = {}
     iso_exact = {}
     powers_equal_id = {}
-    for p, cur, part, points in exact_period_steps(m, max_power):
+    for p, cur, part, points in exact_period_steps(T, max_power):
         exact[p] = part
         iso_exact[p] = points
         powers_equal_id[p] = cur.is_identity()
     # the exact-period parts are disjoint
-    covered = Clopen.make(m.sig, [w for part in exact.values() for w in part.words])
+    covered = Clopen.make(T.sig, [w for part in exact.values() for w in part.words])
     return {
         "exact_period_parts": exact,
         "isolated_periodic_points": iso_exact,
@@ -584,21 +573,28 @@ def full_group_membership(S, T, bound):
     """Clopen sets E_i = {x : Sx = T^i x} for |i| <= bound, or a refusal.
 
     Full-branch agreement only; each branch is assigned to the exponent of
-    smallest absolute value (positive first on ties).
+    smallest absolute value (positive first on ties).  T^i and T^-i are
+    each one composition from T^(i-1) and T^-(i-1), so the bound costs at
+    most 2 * bound compositions and one inversion.
     """
     if bound < 0:
         raise ValueError(f"bound must not be negative, got {bound}")
-    S = as_prefix_map(S)
     sig = S.sig
     rest = Clopen.full(sig)
     parts = {}
-    for i in sorted(range(-bound, bound + 1), key=lambda i: (abs(i), -i)):
-        Ti = as_prefix_map(power(T, i))
-        agree = [w for w, _, _, k, _ in _cells(S, Ti) if k is None]
-        E = Clopen.make(sig, agree) & rest
-        if not E.is_empty:
-            parts[i] = E
-            rest = rest - E
+    Tinv = T.inverse()
+    pos = neg = PrefixMap.identity(T.sig)
+    for i in range(bound + 1):
+        if rest.is_empty:
+            break
+        if i:
+            pos, neg = T.after(pos), Tinv.after(neg)
+        for j, Ti in ((i, pos), (-i, neg)) if i else ((0, pos),):
+            agree = [w for w, _, _, k, _ in _cells(S, Ti) if k is None]
+            E = Clopen.make(sig, agree) & rest
+            if not E.is_empty:
+                parts[j] = E
+                rest = rest - E
     if not rest.is_empty:
         return None, rest
     return parts, None
@@ -617,7 +613,6 @@ def centralizer_index_sequence(R, S, depth):
     both answers.  On failure, reports the first level where R does not act
     as any power of the odometer S.
     """
-    R = as_prefix_map(R)
     sig = S.sig
     if R.sig != sig:
         raise ValueError("signature mismatch")

@@ -15,10 +15,8 @@ from math import lcm
 from .space import Clopen, Value, is_prefix, is_partition, partition_at_depth
 from .measure import Dirac, Mixture, open_diff_mass
 from .homeo import (
-    Odometer,
     PrefixMap,
     TowerSystem,
-    as_prefix_map,
     compose_branches,
     difference_set,
     exact_period_steps,
@@ -166,14 +164,13 @@ def overlap_graph(T, partition):
     witness is the first component, by least vertex, that is its own reach
     set (no arc leaves it) and is not the whole graph.
     """
-    Tm = as_prefix_map(T)
     atoms = list(partition)
     if not is_partition(atoms):
         raise ValueError("input sets do not partition the space")
     n = len(atoms)
     cells = {}
     for i in range(n):
-        img = Tm.image(atoms[i])
+        img = T.image(atoms[i])
         for j in range(n):
             cell = img & atoms[j]
             if not cell.is_empty:
@@ -276,9 +273,8 @@ def odometer_in_weak_neighborhood(T, partition):
     sig = partition[0].sig
     S = PrefixMap.make(sig, _glue_cycle(sig, pieces))
     tower = TowerSystem.from_cycle(pieces)
-    Tm = as_prefix_map(T)
     cert = {
-        "set_images_match": all(S.image(F) == Tm.image(F) for F in partition),
+        "set_images_match": all(S.image(F) == T.image(F) for F in partition),
         "cycle_length": len(pieces),
     }
     return SynthesisResult(
@@ -297,9 +293,8 @@ def periodic_in_weak_neighborhood(T, partition):
     for pieces in all_pieces:
         branches += _glue_cycle(sig, pieces, close_exactly=True)
     P = PrefixMap.make(sig, branches)
-    Tm = as_prefix_map(T)
     cert = {
-        "set_images_match": all(P.image(F) == Tm.image(F) for F in partition),
+        "set_images_match": all(P.image(F) == T.image(F) for F in partition),
         "order": lcm(*map(len, all_pieces)),
     }
     return SynthesisResult(ok=True, homeo=P, pieces=all_pieces, certificate=cert)
@@ -332,7 +327,7 @@ def _iterates(M, A, k):
 
 def orbit_of(P, F, p):
     """F | P F | ... | P^(p-1) F."""
-    iterates = _iterates(as_prefix_map(P), F, p)
+    iterates = _iterates(P, F, p)
     out = next(iterates, Clopen.empty(F.sig))
     for cur in iterates:
         out = out | cur
@@ -343,18 +338,17 @@ def fundamental_domain(P, p):
     """Clopen E with (E, P E, ..., P^{p-1} E) an exact partition."""
     if p < 1:
         raise ValueError(f"period must be positive, got {p}")
-    Pm = as_prefix_map(P)
     # square and multiply: a wrong period is refused after O(log p) compositions
-    if not Pm.power(p).is_identity():
+    if not P.power(p).is_identity():
         raise ValueError(f"map is not exactly {p}-periodic")
     if p == 1:
-        return Clopen.full(Pm.sig)
+        return Clopen.full(P.sig)
     # the least q with a fixed point of P^q is the exact period of that point;
     # c is the least displacement inf d(x, P^q x) over q < p
-    ident = Pq = PrefixMap.identity(Pm.sig)
+    ident = Pq = PrefixMap.identity(P.sig)
     c = 1
     for q in range(1, p):
-        Pq = Pm.after(Pq)
+        Pq = P.after(Pq)
         d = inf_pointwise_distance(Pq, ident)
         if d == 0:
             raise ValueError(f"points of period {q} < {p} present")
@@ -362,17 +356,19 @@ def fundamental_domain(P, p):
     depth = 0
     while Fraction(1, 2**depth) > c / 2:
         depth += 1
-    atoms = partition_at_depth(Pm.sig, depth)
+    atoms = partition_at_depth(P.sig, depth)
     E = atoms[0]
     for A in atoms[1:]:
-        E = E | (A - orbit_of(Pm, E, p))
-    if not is_partition(list(_iterates(Pm, E, p))):
+        E = E | (A - orbit_of(P, E, p))
+    if not is_partition(list(_iterates(P, E, p))):
         raise RuntimeError("greedy fundamental domain failed the partition check")
     return E
 
 
-# largest order aperiodize_periodic tries when no period is given
+# largest order aperiodize_periodic tries when no period is given, and most
+# cells its fundamental domain may be split into
 APERIODIZE_MAX_ORDER = 64
+APERIODIZE_MAX_CELLS = 1 << 16
 
 
 def aperiodize_periodic(P, epsilon, p=None):
@@ -381,36 +377,41 @@ def aperiodize_periodic(P, epsilon, p=None):
     Replaces the trivial first-return of the fundamental domain by digit-tail
     adding machines on small cells, so the return map has no finite orbits.
     """
-    Pm = as_prefix_map(P)
     epsilon = _positive(epsilon)
     if p is None:
-        cur = PrefixMap.identity(Pm.sig)
+        cur = PrefixMap.identity(P.sig)
         for q in range(1, APERIODIZE_MAX_ORDER + 1):
-            cur = Pm.after(cur)
+            cur = P.after(cur)
             if cur.is_identity():
                 p = q
                 break
         else:
             raise ValueError("map is not periodic within the order bound")
-    E = fundamental_domain(Pm, p)
-    # cells of E whose whole P-orbit consists of sets of diameter < eps/2
-    cells = list(E.words)
-
-    def too_wide(w):
-        images = _iterates(Pm, Clopen(Pm.sig, (w,)), p)
-        return any(img.diameter() >= epsilon / 2 for img in images)
-
-    while (bad := next(filter(too_wide, cells), None)) is not None:
-        cells.remove(bad)
-        lam = Pm.sig.level(len(bad))
-        cells.extend(bad + (d,) for d in range(lam))
+    E = fundamental_domain(P, p)
+    # cells of E whose whole P-orbit consists of sets of diameter < eps/2:
+    # each cell is tested once and a wide one split into its children, which
+    # gives the same cells in any order
+    cells, todo = [], list(E.words)
+    half = epsilon / 2
+    while todo:
+        w = todo.pop()
+        images = _iterates(P, Clopen(P.sig, (w,)), p)
+        if all(img.diameter() < half for img in images):
+            cells.append(w)
+            continue
+        todo.extend(w + (d,) for d in range(P.sig.level(len(w))))
+        if len(cells) + len(todo) > APERIODIZE_MAX_CELLS:
+            raise ValueError(
+                f"aperiodization needs more than {APERIODIZE_MAX_CELLS} cells"
+            )
     sigma = [(w, w, 1) for w in sorted(cells)]
-    top = Pm.power(p - 1).image(E)
-    branches = refine_to(Pm.sig, Pm.branches, top.complement().words)
-    on_top = refine_to(Pm.sig, Pm.branches, top.words)
-    branches += compose_branches(Pm.sig, sigma, on_top)
-    T = PrefixMap.make(Pm.sig, branches)
-    dw = weak_distance(T, Pm)
+    # P^p is the identity, so P^(p-1) is the inverse
+    top = P.inverse().image(E)
+    branches = refine_to(P.sig, P.branches, top.complement().words)
+    on_top = refine_to(P.sig, P.branches, top.words)
+    branches += compose_branches(P.sig, sigma, on_top)
+    T = PrefixMap.make(P.sig, branches)
+    dw = weak_distance(T, P)
     if not dw < epsilon:
         raise RuntimeError("certificate failed: weak distance not below epsilon")
     return T, {"weak_distance": dw, "period": p, "fundamental_domain": E}
@@ -630,15 +631,14 @@ def rokhlin_castle(T, n, measures, epsilon):
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    Tm = as_prefix_map(T)
-    sig = Tm.sig
+    sig = T.sig
     epsilon = _positive(epsilon)
-    _refuse_periods(Tm, n)
+    _refuse_periods(T, n)
     if any(mu.sig != sig for mu in measures):
         raise ValueError("signature mismatch")
     sep = max(2, int(len(measures) / epsilon) + 1) * n
-    Tinv = Tm.inverse()
-    made = {1: [Tm], -1: [Tinv]}  # made[1][k] is T^(k+1), made[-1][k] T^-(k+1)
+    Tinv = T.inverse()
+    made = {1: [T], -1: [Tinv]}  # made[1][k] is T^(k+1), made[-1][k] T^-(k+1)
 
     def powers(j):
         steps = made[1 if j > 0 else -1]
@@ -648,7 +648,7 @@ def rokhlin_castle(T, n, measures, epsilon):
 
     last_diag = None
     for depth in range(1, CASTLE_DEPTH_CAP + 1):
-        cycles = Tm.cycles(depth)
+        cycles = T.cycles(depth)
         if cycles is None:
             strands_of = lambda s, pull: _tower_strands(powers, Tinv, s, depth, pull)
         else:
@@ -685,30 +685,29 @@ def rank1_in_uniform_neighborhood(T, measures, epsilon):
     set falls below epsilon; the certificate is re-verified from the
     difference set itself, not from the construction.
     """
-    Tm = as_prefix_map(T)
     epsilon = _positive(epsilon)
     # with each castle's own refusal of periods up to n, periods up to
     # max(8, n) are refused at every height
-    _refuse_periods(Tm, 8)
+    _refuse_periods(T, 8)
     n = 2
     last = None
     while n <= 4096:
-        castle = rokhlin_castle(Tm, n, measures, Fraction(1, 2))
+        castle = rokhlin_castle(T, n, measures, Fraction(1, 2))
         towers = castle.towers
-        sig = Tm.sig
+        sig = T.sig
         # off the tops, S is T
         tops = Clopen.make(sig, [w for *_, lvls in towers for w in lvls[-1].words])
-        branches = refine_to(sig, Tm.branches, tops.complement().words)
+        branches = refine_to(sig, T.branches, tops.complement().words)
         q = len(towers)
         for idx, (base, h, levels) in enumerate(towers):
             nxt_base = towers[(idx + 1) % q][0]
-            if Tm.image(levels[-1]) == nxt_base:
+            if T.image(levels[-1]) == nxt_base:
                 # T already sends this top onto the next base; keep it
-                branches += refine_to(sig, Tm.branches, levels[-1].words)
+                branches += refine_to(sig, T.branches, levels[-1].words)
             else:
                 branches += canonical_clopen_homeo(levels[-1], nxt_base)
         S = PrefixMap.make(sig, branches)
-        E = difference_set(S, Tm)
+        E = difference_set(S, T)
         values = [open_diff_mass(mu, E) for mu in measures]
         if all(v < epsilon for v in values):
             tower = TowerSystem.from_cycle(castle.all_levels())
@@ -766,7 +765,7 @@ def periodic_approx_odometer(S, mode, epsilon, measures=None):
     Uniform mode fails honestly, reporting the obstructing atom, when a
     point mass rides the carry cylinder at every depth.
     """
-    if not isinstance(S, Odometer):
+    if S.shift is None:
         raise TypeError("periodic approximation targets an odometer")
     epsilon = _positive(epsilon)
     sig = S.sig

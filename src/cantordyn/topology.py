@@ -14,7 +14,6 @@ from .space import Clopen, Value, is_partition
 from .measure import measure_of, open_diff_mass
 from .homeo import (
     TowerSystem,
-    as_prefix_map,
     difference_set,
     weak_distance,
 )
@@ -72,7 +71,6 @@ def _tower_interval(S, T):
     if isinstance(S, TowerSystem) and isinstance(T, TowerSystem):
         raise NotImplementedError("interval for two tower systems not supported")
     tower, other = (S, T) if isinstance(S, TowerSystem) else (T, S)
-    other = as_prefix_map(other)
     other_inv = other.inverse()
     lo = hi = lo_inv = hi_inv = Fraction(0)
     cycle = tower.levels[-1]
@@ -93,8 +91,7 @@ def in_neighborhood(S, N):
     """Exact membership with a certificate; raises IndeterminateAtDepth when
     only an interval straddling the threshold is available."""
     if isinstance(N, PNeighborhood):
-        T, Sm = as_prefix_map(N.base), as_prefix_map(S)
-        wrong = [F for F in N.sets if Sm.image(F) != T.image(F)]
+        wrong = [F for F in N.sets if S.image(F) != N.base.image(F)]
         return Membership(not wrong, {"mismatched_sets": wrong})
     if isinstance(N, UniformNeighborhood):
         E = difference_set(S, N.base)
@@ -104,14 +101,13 @@ def in_neighborhood(S, N):
             {"difference_set": E, "measures_of_difference": values},
         )
     if isinstance(N, BarPNeighborhood):
-        T = as_prefix_map(N.base)
-        Sm = as_prefix_map(S)
-        Si, Ti = Sm.inverse(), T.inverse()
+        T = N.base
+        Si, Ti = S.inverse(), T.inverse()
         worst = Fraction(0)
         detail = []
         for F in N.sets:
             for mu in N.measures:
-                v = measure_of(mu, Sm.image(F) ^ T.image(F)) + measure_of(
+                v = measure_of(mu, S.image(F) ^ T.image(F)) + measure_of(
                     mu, Si.image(F) ^ Ti.image(F)
                 )
                 detail.append((F, v))
@@ -142,9 +138,8 @@ def defect_over_partition(kind, S, T, mu, partition):
     atoms = list(partition)
     if not is_partition(atoms):
         raise ValueError("input sets do not partition the space")
-    Sm, Tm = as_prefix_map(S), as_prefix_map(T)
-    simgs = [Sm.image(a) for a in atoms]
-    timgs = [Tm.image(a) for a in atoms]
+    simgs = [S.image(a) for a in atoms]
+    timgs = [T.image(a) for a in atoms]
     if kind == "bar_tau":
         d = [measure_of(mu, t) - measure_of(mu, s) for s, t in zip(simgs, timgs)]
         gain = sum((x for x in d if x > 0), Fraction(0))
@@ -171,12 +166,11 @@ def defect_over_partition(kind, S, T, mu, partition):
 def limsup_check(sequence, F):
     """Whether F equals the union over m of the intersections of T_n F for
     n > m, at the finite horizon of the supplied sequence."""
-    maps = [as_prefix_map(T) for T in sequence]
-    n = len(maps)
+    n = len(sequence)
     if n < 2:
         raise ValueError("need at least two terms")
     sig = F.sig
-    images = [m.image(F) for m in maps]
+    images = [T.image(F) for T in sequence]
     acc = Clopen.empty(sig)
     for m in range(n - 1):
         inter = images[m + 1]

@@ -161,6 +161,11 @@ ROKHLIN = ["rokhlin", "--target", "odometer:dyadic", "--n", "2", "--measure", "u
          "not canonical: rational-form 2/4 (printed 1/2)"),
         (ROKHLIN + ["--epsilon", "+1/4"],
          "not canonical: rational-form +1/4 (printed 1/4)"),
+        # the identity is no odometer, whichever alias names it
+        (["centralizer", "odometer:dyadic", "id"],
+         "centralizer test needs an odometer as second argument"),
+        (["centralizer", "id", "odometer:dyadic:0"],
+         "centralizer test needs an odometer as second argument"),
     ],
 )
 def test_bad_arguments_are_refused_by_name(capsys, argv, reason):
@@ -178,6 +183,13 @@ def test_compose_and_tabulate(capsys):
     code, out, _ = run(capsys, "compose", "swap", "swap")
     assert code == 0
     assert "tree-pair dyadic {e->e}" in out
+    # a composition equal to x + k prints as the odometer
+    code, out, _ = run(capsys, "compose", "odometer:dyadic", "odometer:dyadic")
+    assert (code, out) == (0, "cdyn 1\nhomeo odometer dyadic 2\n")
+    code, out, _ = run(capsys, "compose", "odometer:dyadic", "odometer:dyadic:-1")
+    assert (code, out) == (0, "cdyn 1\nhomeo tree-pair dyadic {e->e}\n")
+    code, out, _ = run(capsys, "compose", "odometer:dyadic:0")
+    assert (code, out) == (0, "cdyn 1\nhomeo tree-pair dyadic {e->e}\n")
     code, out, _ = run(capsys, "tabulate", "odometer:dyadic", "--depth", "2")
     assert code == 0
     assert "00 -> 10" in out and "11 -> 00+1" in out
@@ -263,6 +275,15 @@ def test_synth_rank1(capsys):
         "--epsilon", "1/2",
     )
     assert code == 0 and "mass_0 0" in out
+    # the odometer is its own rank-1 approximant, printed as an odometer
+    code, out, _ = run(
+        capsys,
+        "synth", "rank1",
+        "--target", "odometer:dyadic",
+        "--measure", "uniform",
+        "--epsilon", "1/100000",
+    )
+    assert code == 0 and out.startswith("cdyn 1\nhomeo odometer dyadic 1\n")
 
 
 def test_rokhlin(capsys):
@@ -404,6 +425,23 @@ def test_bad_synth_input_exits_one_without_traceback(argv, reason):
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr.startswith(f"error: {reason}")
     assert "Traceback" not in r.stderr
+
+
+def test_aperiodize_refuses_a_split_past_its_cell_cap():
+    """The cells of diameter below epsilon / 2 under the swap's fundamental
+    domain number 2^20 here; the split stops at 2^16."""
+    t0 = time.monotonic()
+    r = subprocess.run(
+        [sys.executable, "-m", "cantordyn.cli", "synth", "aperiodize",
+         "--target", "swap", "--epsilon", "1/1000000"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert time.monotonic() - t0 < 5
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: aperiodization needs more than {1 << 16} cells\n"
 
 
 @pytest.mark.parametrize(

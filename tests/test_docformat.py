@@ -7,7 +7,7 @@ import pytest
 
 from cantordyn.space import DYADIC, Clopen, Point, Signature
 from cantordyn.measure import Dirac, Mixture, ProductMeasure
-from cantordyn.homeo import Odometer, PrefixMap
+from cantordyn.homeo import Odometer, PrefixMap, compose
 from cantordyn.topology import (
     BarPNeighborhood,
     PNeighborhood,
@@ -91,6 +91,12 @@ def test_homeo_documents():
     shifted = PrefixMap.make(SIG, [((0,), (1,), 0), ((1,), (0,), 2)])
     text = roundtrip(doc_homeo(shifted))
     assert "shift-pair" in text and "+2" in text
+    # a map equal to x + k prints as the odometer however it was built, and
+    # the identity as a tree pair
+    plus_one = PrefixMap.make(SIG, [((0,), (1,), 0), ((1,), (0,), 1)])
+    assert print_document(doc_homeo(plus_one)) == "cdyn 1\nhomeo odometer dyadic 1\n"
+    back = compose(Odometer(SIG, 1), Odometer(SIG, -1))
+    assert print_document(doc_homeo(back)) == "cdyn 1\nhomeo tree-pair dyadic {e->e}\n"
 
 
 def test_neighborhood_documents():
@@ -160,6 +166,19 @@ REJECTS = [
         "branches-not-canonical",
     ),
     ("homeo shift-pair dyadic {0->1, 1->0}", "shift-pair-degenerate"),
+    # the adding machine has one spelling, and the identity is a tree pair
+    (
+        "homeo shift-pair dyadic {e->e+1}",
+        "not canonical: odometer-form (printed odometer dyadic 1)",
+    ),
+    (
+        "homeo shift-pair base(;2,3) {e->e-2}",
+        "not canonical: odometer-form (printed odometer base(;2,3) -2)",
+    ),
+    (
+        "homeo odometer dyadic 0",
+        "not canonical: zero-shift (printed tree-pair dyadic {e->e})",
+    ),
     (
         "neighborhood p (odometer dyadic 1) [{1}, {0}]",
         "list-not-sorted",
@@ -243,9 +262,13 @@ def test_error_carries_position():
 # when non-canonical integers and word forms came to be refused: 4 of its
 # 3000 mutants (base(;03), a carry +01, and plain words 31 and 000 over
 # signatures printed dotted) went from accepted to rejected, and no accepted
-# mutant prints differently
-ROUNDTRIP_SHA256 = "dbbac0af4ca50e0f2430fc1dece624fa23af7423d69119645e181cd6977c2af9"
-FUZZ_SHA256 = "e5934b3a6f3eb093cb7d5f04a0307ad73205b25472e316754e4fb30cecc3eeff"
+# mutant prints differently.  Both were re-recorded again when a map adding
+# k != 0 everywhere came to be printed only as `odometer SIG k`: the earlier
+# texts with each `shift-pair SIG {e->e+k}` respelled so hash to the
+# roundtrip digest, and the fuzz digest moved because its mutation draws
+# depend on the length of each text (55 of its 3000 documents were respelled)
+ROUNDTRIP_SHA256 = "8f93bdb044dc4a5a5119a0fe7a92246eac712e73c9e044e40070baee98270db0"
+FUZZ_SHA256 = "c24a797cf151c1524c7d47f2cb3a62bf0997d2c9b21b5752a184b9579b84c17e"
 
 
 def test_random_documents_roundtrip():

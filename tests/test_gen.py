@@ -9,9 +9,11 @@ from cantordyn.docformat import KINDS, doc_clopen, doc_homeo, print_document
 
 from conftest import SIGS
 
-# sha256 of the printed draws below as first recorded; a change in the draw
-# order of any generator changes it
-DRAWS_SHA256 = "46fc371474543ad9c695ad8062a22e936fe92f53c4c5afd13baddb7a06484c58"
+# sha256 of the printed draws below; a change in the draw order of any
+# generator changes it.  Re-recorded once, for the spelling alone, when a map
+# adding k != 0 everywhere came to be printed as `odometer SIG k`: the first
+# recorded texts with each `shift-pair SIG {e->e+k}` respelled so give it
+DRAWS_SHA256 = "e09aa1a3f002c22a21aa30a7e78ebf85808d104395af3b212659baf9ea69a31a"
 
 
 def test_draws_are_pinned():

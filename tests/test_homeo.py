@@ -222,6 +222,42 @@ def test_full_group_membership():
         full_group_membership(SWAP, T, -1)
 
 
+def test_full_group_membership_steps_each_power_once(compositions):
+    """T^i is one composition from T^(i-1), and T^-i one from T^-(i-1), so a
+    bound costs at most 2 * bound compositions; building each T^i by square
+    and multiply took 10,776 compositions at bound 512 with S = T^300."""
+    for k, bound, want in (
+        (300, 64, (None, Clopen.full(DYADIC))),
+        (-3, 8, ({-3: Clopen.full(DYADIC)}, None)),
+        (0, 4, ({0: Clopen.full(DYADIC)}, None)),
+    ):
+        S = DISS.power(k)
+        compositions.clear()
+        assert full_group_membership(S, DISS, bound) == want
+        assert len(compositions) <= 2 * bound
+
+
+def test_odometer_is_a_prefix_map():
+    """Odometer(sig, k) is the one branch (e, e, k), the map that adding k
+    is however it was built; its shift is k, and None for every other map."""
+    for sig in SIGS:
+        od = Odometer(sig, 1)
+        assert od == PrefixMap.make(sig, [((), (), 1)]) and weak_distance(od, od) == 0
+        # x + 1 as two branches on the depth-1 cylinders merges to one
+        lam = sig.level(0)
+        branches = [((d,), (d + 1,), 0) for d in range(lam - 1)]
+        assert PrefixMap.make(sig, branches + [((lam - 1,), (0,), 1)]) == od
+        for k in (-2, -1, 1, 3):
+            assert Odometer(sig, k).shift == k
+            assert compose(Odometer(sig, k), od) == Odometer(sig, k + 1)
+            assert inverse(Odometer(sig, k)) == Odometer(sig, -k)
+            assert power(Odometer(sig, k), 3) == Odometer(sig, 3 * k)
+        assert Odometer(sig, 0) == PrefixMap.identity(sig) == compose(od, inverse(od))
+        assert Odometer(sig, 0).shift is None
+    assert SWAP.shift is None and DISS.shift is None
+    assert PrefixMap.make(DYADIC, [((0,), (1,), 0), ((1,), (0,), 2)]).shift is None
+
+
 def test_centralizer_index_sequences():
     sig = DYADIC
     S = Odometer(sig, 1)
@@ -234,7 +270,7 @@ def test_centralizer_index_sequences():
     res = centralizer_index_sequence(SWAP, S, 4)
     assert not res["ok"] and res["failure_level"] <= 2
     with pytest.raises(ValueError, match="depth must not be negative"):
-        centralizer_index_sequence(S.as_map(), S, -1)
+        centralizer_index_sequence(S, S, -1)
 
 
 def test_centralizer_refines_only_up_to_the_failing_level(monkeypatch):

@@ -50,3 +50,23 @@ def test_perfbench_trace_entry_points_resolve():
                 cls_name, attr = qual.split(".")
                 owner = getattr(mod, cls_name)
             assert attr in owner.__dict__, f"{layer}.{qual}"
+
+
+def test_perfbench_workloads_build_and_pass_their_checks(monkeypatch):
+    """perfbench/workloads.py builds its maps with Odometer(sig, k) and
+    as_prefix_map, labels castles with T.shift and calls homeo.compose and
+    homeo.inverse; the first ops of two of its workloads run and pass their
+    oracle checks.  Nothing is written."""
+    bench = os.path.join(ROOT, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    # held in sys.modules only for the test, as the module loaded below
+    monkeypatch.setitem(sys.modules, "oracle", importlib.import_module("oracle"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(bench, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for w in (workloads.castle(0), workloads.algebra(0, triples=20)):
+        for op in w.ops[:5]:
+            assert op.check(op.fn()), op.label
