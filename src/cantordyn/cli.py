@@ -270,8 +270,6 @@ def cmd_fullgroup(args, out):
 def cmd_centralizer(args, out):
     R = resolve_homeo(args.R)
     S = resolve_homeo(args.S)
-    if S.shift is None:
-        raise CliError("centralizer test needs an odometer as second argument")
     # the test refines R to every cylinder of depth + 1
     _cap_depth(S.sig, args.depth, args.depth + 1)
     res = centralizer_index_sequence(R, S, args.depth)

@@ -128,12 +128,11 @@ class PrefixMap(Value):
             if canonical_words(sig, ws) != ((),):
                 raise ValueError(f"{name} words do not cover the space")
         for u, v, c in self.branches:
+            # over dyadic, {0, 1, 2} passes the cover check: 2 lies under e
             if not sig.valid_word(u) or not sig.valid_word(v):
                 raise ValueError("branch word digits out of range")
-            if sig.shift(len(u)) != sig.shift(len(v)):
-                raise ValueError(
-                    f"tail alphabets differ between {u} and {v}"
-                )
+            if not sig.same_tail(len(u), len(v)):
+                raise ValueError(f"tail alphabets differ between {u} and {v}")
 
     @property
     def shift(self):
@@ -171,7 +170,7 @@ class PrefixMap(Value):
                 if u0 != pu + (0,) or not v0:
                     break
                 pv = v0[:-1]
-                if sig.shift(len(pu)) != sig.shift(len(pv)):
+                if not sig.same_tail(len(pu), len(pv)):
                     break
                 parent = (pu, pv, c0 * lam + v0[-1])
                 refined = [refine_branch(sig, parent, pu + (d,)) for d in range(lam)]
@@ -441,30 +440,24 @@ class OpenDiffSet(Value):
         return f"OpenDiffSet({core} minus [{pts}])"
 
 
-def _one_sided_difference(S, T):
-    """Core and removed points of {x : Sx != Tx} for PrefixMaps."""
-    core_words = []
-    removed = []
+def difference_set(S, T):
+    """E(S, T): where the maps differ or their inverses differ.  S^-1 x != T^-1 x
+    exactly where x = Sy with Sy != Ty, so the inverse side is the S-image of
+    the forward side, core and removed points alike."""
+    words, fwd_removed = [], []
     for w, b1, b2, k, meets in _cells(S, T):
         if k is not None:
-            core_words.append(w)
+            words.append(w)
             if meets:
-                removed.append(_solve_agreement_point(S.sig, w, b1, b2))
-    return Clopen.make(S.sig, core_words), removed
-
-
-def difference_set(S, T):
-    """E(S, T): where the maps differ or their inverses differ."""
-    fwd_core, fwd_removed = _one_sided_difference(S, T)
-    inv_core, inv_removed = _one_sided_difference(S.inverse(), T.inverse())
-    core = fwd_core | inv_core
-    removed = []
-    for x in {*fwd_removed, *inv_removed}:
-        in_fwd = x.in_clopen(fwd_core) and x not in fwd_removed
-        in_inv = x.in_clopen(inv_core) and x not in inv_removed
-        if not in_fwd and not in_inv and x.in_clopen(core):
-            removed.append(x)
-    return OpenDiffSet(core, tuple(sorted(removed, key=lambda p: (p.head, p.cycle))))
+                fwd_removed.append(_solve_agreement_point(S.sig, w, b1, b2))
+    fwd_core = Clopen.make(S.sig, words)
+    inv_core = S.image(fwd_core)
+    inv_removed = [S.apply(x) for x in fwd_removed]
+    # a removed point of one side stays removed unless the other side differs there
+    removed = {x for x in fwd_removed if not x.in_clopen(inv_core) or x in inv_removed}
+    removed |= {x for x in inv_removed if not x.in_clopen(fwd_core) or x in fwd_removed}
+    removed = sorted(removed, key=lambda p: (p.head, p.cycle))
+    return OpenDiffSet(fwd_core | inv_core, tuple(removed))
 
 
 def weak_distance(S, T):
@@ -613,6 +606,8 @@ def centralizer_index_sequence(R, S, depth):
     both answers.  On failure, reports the first level where R does not act
     as any power of the odometer S.
     """
+    if S.shift is None:
+        raise TypeError("centralizer test needs an odometer as second argument")
     sig = S.sig
     if R.sig != sig:
         raise ValueError("signature mismatch")

@@ -120,6 +120,11 @@ class Signature(Value):
         r = (n - len(self.preperiod)) % len(self.period)
         return Signature((), self.period[r:] + self.period[:r])
 
+    def same_tail(self, a, b):
+        """Whether the levels from depth a on are those from depth b on."""
+        span = range(len(self.preperiod) + len(self.period))
+        return a == b or all(self.level(a + t) == self.level(b + t) for t in span)
+
     def valid_word(self, w):
         return all(0 <= d < self.level(t) for t, d in enumerate(w))
 

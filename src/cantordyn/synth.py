@@ -56,7 +56,7 @@ def canonical_clopen_homeo(A, B):
     sig = A.sig
     branches = []
     for u, v in zip(a, b):
-        if sig.shift(len(u)) != sig.shift(len(v)):
+        if not sig.same_tail(len(u), len(v)):
             raise ValueError(
                 "tail alphabets differ between paired cylinders "
                 f"{u} and {v}; no canonical pairing for this signature"
@@ -410,7 +410,8 @@ def aperiodize_periodic(P, epsilon, p=None):
     branches = refine_to(P.sig, P.branches, top.complement().words)
     on_top = refine_to(P.sig, P.branches, top.words)
     branches += compose_branches(P.sig, sigma, on_top)
-    T = PrefixMap.make(P.sig, branches)
+    # built from P's own branches, so nothing to validate, as in PrefixMap.after
+    T = PrefixMap(P.sig, tuple(branches)).canonical()
     dw = weak_distance(T, P)
     if not dw < epsilon:
         raise RuntimeError("certificate failed: weak distance not below epsilon")

@@ -9,8 +9,10 @@ indeterminate-at-depth instead of guessing.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 
-from .space import Clopen, Value, is_partition
+from .space import Value, is_partition
 from .measure import measure_of, open_diff_mass
 from .homeo import (
     TowerSystem,
@@ -64,11 +66,7 @@ def weak_distance_interval(S, T):
     if not towers:
         v = weak_distance(S, T)
         return (v, v)
-    return _tower_interval(S, T)
-
-
-def _tower_interval(S, T):
-    if isinstance(S, TowerSystem) and isinstance(T, TowerSystem):
+    if len(towers) == 2:
         raise NotImplementedError("interval for two tower systems not supported")
     tower, other = (S, T) if isinstance(S, TowerSystem) else (T, S)
     other_inv = other.inverse()
@@ -127,8 +125,10 @@ def defect_over_partition(kind, S, T, mu, partition):
     """Certified defect sup over unions of the atoms of a partition.
 
     kind "tau_prime" maximizes mu(TF ^ SF), exhaustively, up to
-    EXHAUSTIVE_ATOM_LIMIT atoms.  kind "bar_tau" maximizes
-    |mu(TF) - mu(SF)| exactly for any number of atoms: S and T are
+    EXHAUSTIVE_ATOM_LIMIT atoms, as a cut: the S- and the T-images of the
+    atoms each partition the space, so with w_ij = mu(S a_i & T a_j),
+    mu(TF ^ SF) sums w_ij + w_ji over i in F and j not in F.  kind "bar_tau"
+    maximizes |mu(TF) - mu(SF)| exactly for any number of atoms: S and T are
     bijections, so mu(TF) - mu(SF) is the sum of d_i = mu(T a_i) - mu(S a_i)
     over the atoms a_i of F, and the largest |sum| is that of the positive
     d_i or of the negative ones.
@@ -151,33 +151,32 @@ def defect_over_partition(kind, S, T, mu, partition):
             f"partition has more than {EXHAUSTIVE_ATOM_LIMIT} atoms; "
             "the tau_prime defect is computed only up to that"
         )
-    sig = atoms[0].sig
-    best = Fraction(0)
-    for mask in range(1 << n):
-        sf = tf = Clopen.empty(sig)
-        for i in range(n):
-            if mask >> i & 1:
-                sf = sf | simgs[i]
-                tf = tf | timgs[i]
-        best = max(best, measure_of(mu, tf ^ sf))
-    return best
+    if mu.sig != atoms[0].sig:
+        raise ValueError("signature mismatch")
+    # the w_ij as numerators over one common denominator d
+    ratios = [mu.clopen_ratio(s & t) for s in simgs for t in timgs]
+    d = lcm(*(b for _, b in ratios))
+    w = [a * (d // b) for a, b in ratios]
+    c = [[w[i * n + j] + w[j * n + i] for j in range(n)] for i in range(n)]
+    best = 0
+    # F and its complement have the same cut, so atom n - 1 stays out of F
+    for mask in range(1 << (n - 1)):
+        inside = [mask >> i & 1 for i in range(n)]
+        outside = [1 - x for x in inside]
+        best = max(best, sum(sum(compress(r, outside)) for r in compress(c, inside)))
+    return Fraction(best, d)
 
 
 def limsup_check(sequence, F):
-    """Whether F equals the union over m of the intersections of T_n F for
-    n > m, at the finite horizon of the supplied sequence."""
-    n = len(sequence)
-    if n < 2:
+    """Whether F equals the union over m of the intersections of T_k F for
+    k > m, at the finite horizon of the supplied sequence.
+
+    The intersection over k > m only grows with m, and for the last m it is
+    the one image T_{n-1} F, so the union is that image.
+    """
+    if len(sequence) < 2:
         raise ValueError("need at least two terms")
-    sig = F.sig
-    images = [T.image(F) for T in sequence]
-    acc = Clopen.empty(sig)
-    for m in range(n - 1):
-        inter = images[m + 1]
-        for k in range(m + 2, n):
-            inter = inter & images[k]
-        acc = acc | inter
-    return acc == F
+    return sequence[-1].image(F) == F
 
 
 def partition_gap(partition):

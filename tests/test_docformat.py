@@ -97,6 +97,9 @@ def test_homeo_documents():
     assert print_document(doc_homeo(plus_one)) == "cdyn 1\nhomeo odometer dyadic 1\n"
     back = compose(Odometer(SIG, 1), Odometer(SIG, -1))
     assert print_document(doc_homeo(back)) == "cdyn 1\nhomeo tree-pair dyadic {e->e}\n"
+    # the tails from depths 1 and 2 of base(3,2;2) have the same levels
+    text = "cdyn 1\nhomeo tree-pair base(3,2;2) {0->00, 1->01, 20->1, 21->2}\n"
+    assert print_document(parse(text)) == text
 
 
 def test_neighborhood_documents():

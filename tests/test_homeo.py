@@ -167,6 +167,26 @@ def test_difference_set_empty_iff_equal():
         assert not E2.core.is_empty
 
 
+def test_difference_set_reads_the_inverse_side_off_one_image(inversions):
+    """E(S, T) = E(S^-1, T^-1) by its definition.  difference_set takes the
+    inverse side as the S-image of the forward side, with no inversion; half
+    the dyadic pairs are conjugates of DISS, whose sets have removed points."""
+    rng = random.Random(47)
+    with_points = 0
+    for i in range(60):
+        sig = SIGS[i % 3]
+        S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+        if sig == DYADIC and i % 2:
+            S, T = DISS.after(S).after(DISS.inverse()), DISS.after(T)
+        Si, Ti = S.inverse(), T.inverse()
+        inversions.clear()
+        E = difference_set(S, T)
+        assert inversions == []
+        assert E == difference_set(Si, Ti)
+        with_points += bool(E.removed)
+    assert with_points
+
+
 def test_fixed_points():
     sig = DYADIC
     part, isolated = fixed_points(SWAP)
@@ -271,6 +291,11 @@ def test_centralizer_index_sequences():
     assert not res["ok"] and res["failure_level"] <= 2
     with pytest.raises(ValueError, match="depth must not be negative"):
         centralizer_index_sequence(S, S, -1)
+    # the identity is no odometer: refused by name, not by a failed product
+    ident = PrefixMap.identity(sig)
+    for R, T in ((ident, ident), (S, SWAP)):
+        with pytest.raises(TypeError, match="needs an odometer as second argument"):
+            centralizer_index_sequence(R, T, 3)
 
 
 def test_centralizer_refines_only_up_to_the_failing_level(monkeypatch):
@@ -776,6 +801,43 @@ def test_common_refinement_costs_the_branches():
 def test_make_refuses_overlapping_words(branches, reason):
     with pytest.raises(ValueError, match=f"{reason} words overlap"):
         PrefixMap.make(DYADIC, branches)
+
+
+def test_make_refuses_out_of_range_digits():
+    """The cover check refuses a word with a bad digit that stays on its own,
+    but not one that lies under a merged family: 2 is no digit over DYADIC,
+    yet {0, 1, 2} collapses to the whole space."""
+    cases = [
+        ([((0,), (0,), 0), ((1,), (2,), 0)], "range words do not cover"),
+        ([((0,), (0, 0), 0), ((1,), (0, 1), 0), ((2,), (1,), 0)],
+         "digits out of range"),
+        ([((0,), (0,), 0), ((1, 0), (1, 0), 0), ((1, 1), (1, 1), 0),
+          ((1, 2), (1, 2), 0)], "digits out of range"),
+    ]
+    for branches, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            PrefixMap.make(DYADIC, branches)
+
+
+def test_tail_alphabets_compare_levels_not_spellings():
+    """From depth 1 and from depth 2 the levels of base(3,2;2) are all 2,
+    though shift() spells the two tails base(2;2) and base(;2)."""
+    sig = Signature((3, 2), (2,))
+    m = PrefixMap.make(sig, [((0,), (0, 0), 0), ((1,), (0, 1), 0),
+                             ((2, 0), (1,), 0), ((2, 1), (2,), 0)])
+    assert m.after(m.inverse()).is_identity() and m.inverse().after(m).is_identity()
+    # the family 20, 21 merges into 2 -> 10, whose tails are those levels
+    merged = PrefixMap.make(
+        sig, [((0,), (0,), 0), ((1, 0), (2,), 0), ((1, 1), (1, 1), 0),
+              ((2, 0), (1, 0, 0), 0), ((2, 1), (1, 0, 1), 0)]
+    )
+    assert ((2,), (1, 0), 0) in merged.branches
+    # over base(;2,3) the levels from depth 1 are 3, 2, ... and from depth 2
+    # they are 2, 3, ...
+    sig = Signature((), (2, 3))
+    with pytest.raises(ValueError, match="tail alphabets differ"):
+        PrefixMap.make(sig, [((0,), (0, 0), 0), ((1, 0), (0, 1), 0),
+                             ((1, 1), (0, 2), 0), ((1, 2), (1,), 0)])
 
 
 # -- the restriction walk ----------------------------------------------------------

@@ -56,7 +56,9 @@ def test_perfbench_workloads_build_and_pass_their_checks(monkeypatch):
     """perfbench/workloads.py builds its maps with Odometer(sig, k) and
     as_prefix_map, labels castles with T.shift and calls homeo.compose and
     homeo.inverse; the first ops of two of its workloads run and pass their
-    oracle checks.  Nothing is written."""
+    oracle checks, and so do the first 40 of the neighborhood workload, ten
+    of them tau-prime defects checked by the oracle's max_symmetric_defect.
+    Nothing is written."""
     bench = os.path.join(ROOT, "perfbench")
     monkeypatch.syspath_prepend(bench)
     # held in sys.modules only for the test, as the module loaded below
@@ -67,6 +69,7 @@ def test_perfbench_workloads_build_and_pass_their_checks(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    for w in (workloads.castle(0), workloads.algebra(0, triples=20)):
-        for op in w.ops[:5]:
+    for w, n in ((workloads.castle(0), 5), (workloads.algebra(0, triples=20), 5),
+                 (workloads.neighborhood(0), 40)):
+        for op in w.ops[:n]:
             assert op.check(op.fn()), op.label

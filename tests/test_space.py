@@ -47,6 +47,20 @@ def test_signature_levels_and_counts():
     assert s.shift(1).level(0) == 2 and s.shift(3).level(0) == 2
 
 
+@pytest.mark.parametrize(
+    "sig",
+    SIGS
+    + [Signature((3,), (2, 4)), Signature((3, 2), (2,)), Signature((2, 2, 3), (2, 3))],
+)
+def test_same_tail_compares_levels_not_spellings(sig):
+    for a in range(6):
+        for b in range(6):
+            same = all(sig.level(a + t) == sig.level(b + t) for t in range(24))
+            assert sig.same_tail(a, b) == same
+    s = Signature((3, 2), (2,))
+    assert s.shift(1) != s.shift(2) and s.same_tail(1, 2)
+
+
 def test_signature_rejects_small_levels():
     with pytest.raises(ValueError):
         Signature((), (1,))

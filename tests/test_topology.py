@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from cantordyn.topology import (
     weak_distance_interval,
 )
 from cantordyn.synth import truncation
-from cantordyn.gen import random_homeo, random_measure, random_partition
+from cantordyn.gen import random_clopen, random_homeo, random_measure, random_partition
 
 from conftest import SIGS
 
@@ -123,6 +124,13 @@ def test_defect_over_partition():
     assert defect_over_partition("bar_tau", od, IDENT, UNI, atoms) == 0
 
 
+def _unions(atoms):
+    """Every union of the atoms, each built with Clopen.make."""
+    for mask in range(1 << len(atoms)):
+        words = [w for k, a in enumerate(atoms) if mask >> k & 1 for w in a.words]
+        yield Clopen.make(atoms[0].sig, words)
+
+
 def test_bar_tau_defect_is_the_exhaustive_maximum():
     """The bar-tau sum rule against the max over every union of atoms."""
     rng = random.Random(31)
@@ -131,13 +139,54 @@ def test_bar_tau_defect_is_the_exhaustive_maximum():
         S, T = random_homeo(rng, sig), random_homeo(rng, sig)
         atoms = random_partition(rng, sig, max_atoms=6)
         mu = random_measure(rng, sig)
-        best = 0
-        for mask in range(1 << len(atoms)):
-            F = Clopen.make(
-                sig, [w for k, a in enumerate(atoms) if mask >> k & 1 for w in a.words]
-            )
-            best = max(best, abs(measure_of(mu, T.image(F)) - measure_of(mu, S.image(F))))
+        best = max(
+            abs(measure_of(mu, T.image(F)) - measure_of(mu, S.image(F)))
+            for F in _unions(atoms)
+        )
         assert defect_over_partition("bar_tau", S, T, mu, atoms) == best
+
+
+def test_tau_prime_defect_is_the_exhaustive_maximum():
+    """The cut over the cell masses against mu(TF ^ SF) over every union."""
+    rng = random.Random(37)
+    for i in range(60):
+        sig = SIGS[i % 3]
+        S, T = random_homeo(rng, sig), random_homeo(rng, sig)
+        atoms = random_partition(rng, sig, max_atoms=6)
+        mu = random_measure(rng, sig)
+        best = max(measure_of(mu, T.image(F) ^ S.image(F)) for F in _unions(atoms))
+        assert defect_over_partition("tau_prime", S, T, mu, atoms) == best
+
+
+def test_tau_prime_defect_over_16_atoms_is_the_sum_of_its_blocks(monkeypatch):
+    """S and T map each depth-2 cylinder onto itself, so no cell joins two of
+    the four blocks of depth-4 atoms, and the largest cut is the sum of the
+    blocks' largest ones.  The defect builds no union of atom images
+    (Clopen.__or__), which is what kept 16 atoms past the time budget."""
+    rng = random.Random(41)
+
+    def blockwise():
+        return PrefixMap.make(SIG, [
+            (p + u, p + v, c)
+            for p in SIG.words(2)
+            for u, v, c in random_homeo(rng, SIG, depth=2).branches
+        ])
+
+    S, T = blockwise(), blockwise()
+    mu = ProductMeasure.make(SIG, [], [(Fraction(1, 3), Fraction(2, 3))])
+    atoms = partition_at_depth(SIG, 4)
+    blocks = [atoms[k : k + 4] for k in range(0, 16, 4)]
+    expected = sum(
+        max(measure_of(mu, T.image(F) ^ S.image(F)) for F in _unions(block))
+        for block in blocks
+    )
+    unions = []
+    union = Clopen.__or__
+    monkeypatch.setattr(Clopen, "__or__", lambda A, B: unions.append(B) or union(A, B))
+    start = time.perf_counter()
+    assert defect_over_partition("tau_prime", S, T, mu, atoms) == expected
+    assert time.perf_counter() - start < 2
+    assert unions == []
 
 
 def test_bar_tau_defect_beyond_the_exhaustive_limit():
@@ -194,3 +243,28 @@ def test_limsup_check():
     assert not limsup_check([SWAP] * 4, F)
     with pytest.raises(ValueError):
         limsup_check([IDENT], F)
+
+
+def test_limsup_check_is_the_last_image(images):
+    """Against the union over m of the intersections of T_k F for k > m,
+    with one image where that definition takes one per term."""
+    rng = random.Random(43)
+    hits = 0
+    for i in range(200):
+        sig = SIGS[i % 3]
+        seq = [random_homeo(rng, sig) for _ in range(rng.randint(2, 5))]
+        if i % 2:
+            seq[-1] = PrefixMap.identity(sig)
+        F = random_clopen(rng, sig)
+        imgs = [T.image(F) for T in seq]
+        union = Clopen.empty(sig)
+        for m in range(len(seq) - 1):
+            inter = Clopen.full(sig)
+            for img in imgs[m + 1 :]:
+                inter = inter & img
+            union = union | inter
+        images.clear()
+        assert limsup_check(seq, F) == (union == F)
+        assert len(images) == 1
+        hits += union == F
+    assert 100 < hits < 200
